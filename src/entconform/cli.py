@@ -19,30 +19,31 @@ import numpy as np
 
 from .activations import EntmaxConfig, entmax
 from .conformal import CalibratedPredictor, calibrate, predict_sets
-from .errors import EntconformError, ParseError, ValidationError
-from .harness import ExperimentConfig, load_dataset, run_sweep
+from .errors import EntconformError, IoError, ParseError, ValidationError
+from .harness import ExperimentConfig, load_dataset, read_json_object, run_sweep
 from .metrics import EvaluationRun, SizeBins, compute_report
-from .scores import RapsParams, ScoreKind
+from .scores import ScoreKind
 
 _SCORE_CHOICES = ("sparsemax", "entmax", "log-margin", "inv-prob", "raps")
 
 
 def _kind_from_args(args) -> ScoreKind:
+    """``--score`` and the flags whose ``dest`` is one of its fields; an
+    unset ``--gamma`` counts as missing, other scores' flags are ignored."""
     score = args.score.replace("-", "_")
-    if score == "entmax":
-        if args.gamma is None:
-            raise ValidationError("--score entmax requires --gamma")
-        return ScoreKind.entmax(args.gamma)
-    if score == "raps":
-        return ScoreKind.raps(
-            RapsParams(
-                lambda_reg=args.lambda_reg,
-                k_reg=args.k_reg,
-                randomized=args.randomized,
-                rng_seed=args.seed,
-            )
-        )
-    return ScoreKind(score)
+    fields = {k: getattr(args, k) for k in ScoreKind.field_types(score)}
+    return ScoreKind.from_dict(
+        {"score": score, **{k: v for k, v in fields.items() if v is not None}}
+    )
+
+
+def _write_json(path: str, doc: dict) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_logits_stdin() -> np.ndarray:
@@ -95,16 +96,13 @@ def _cmd_calibrate(args) -> int:
     data = load_dataset(args.input)
     kind = _kind_from_args(args)
     pred = calibrate(data, kind, args.alpha)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(pred.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(args.out, pred.to_json_dict())
     print(f"calibrated {kind.variant} on n={pred.calib_n}: q_hat={pred.q_hat}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    with open(args.predictor, "r", encoding="utf-8") as fh:
-        pred = CalibratedPredictor.from_json_dict(json.load(fh))
+    pred = CalibratedPredictor.from_json_dict(read_json_object(args.predictor))
     data = load_dataset(args.input)
     sets = predict_sets(data.logits, pred)
     run = EvaluationRun(
@@ -120,9 +118,7 @@ def _cmd_evaluate(args) -> int:
         "n": data.n,
         **report.to_json_dict(),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(args.out, doc)
     print(f"coverage={report.coverage:.4f} avg_set_size={report.avg_set_size:.4f}")
     return 0
 
@@ -152,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score", required=True, choices=_SCORE_CHOICES)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", dest="rng_seed", type=int, default=0)
     p.add_argument("--lambda-reg", dest="lambda_reg", type=float, default=0.01)
     p.add_argument("--k-reg", dest="k_reg", type=int, default=5)
     p.add_argument("--randomized", action="store_true")
@@ -181,7 +177,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EntconformError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (EntconformError, OSError) as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         return 3
 

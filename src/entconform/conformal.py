@@ -17,7 +17,7 @@ the two routes can check each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,8 +33,9 @@ from .errors import (
     InvalidGamma,
     InvalidInput,
     LabelOutOfRange,
+    checked,
 )
-from .scores import RapsParams, ScoreKind, all_label_scores, true_label_scores
+from .scores import ScoreKind, all_label_scores, true_label_scores
 
 __all__ = [
     "CalibratedPredictor",
@@ -109,7 +110,7 @@ class CalibratedPredictor:
     or +inf when that index exceeds n.  ``beta_inv`` (the temperature) is
     ``(gamma - 1) * q_hat`` for the entmax kind and ``q_hat`` itself for
     sparsemax; it is None for kinds without a temperature reading.
-    ``num_classes`` is kept for shape checking but is not serialized.
+    ``num_classes``, when known, is checked against every test batch.
     """
 
     score_kind: ScoreKind
@@ -119,56 +120,50 @@ class CalibratedPredictor:
     calib_n: int
     num_classes: int | None = None
 
+    def __post_init__(self):
+        _check_alpha(checked(self.alpha, float, "alpha"))
+        if not checked(self.q_hat, float, "q_hat") >= 0.0:
+            raise InvalidInput(f"q_hat must be nonnegative or inf, got {self.q_hat}")
+        if checked(self.calib_n, int, "calib_n") < 1:
+            raise InvalidInput(f"calib_n must be positive, got {self.calib_n}")
+        k = self.num_classes
+        if k is not None and checked(k, int, "num_classes") < 2:
+            raise InvalidInput(f"num_classes must be at least 2, got {k}")
+
     def to_json_dict(self) -> dict:
         doc = {
-            "score_kind": self.score_kind.variant,
+            "score_kind": self.score_kind.to_dict(),
             "alpha": self.alpha,
             "q_hat": "inf" if math.isinf(self.q_hat) else self.q_hat,
             "calib_n": self.calib_n,
+            "num_classes": self.num_classes,
         }
-        if self.score_kind.variant == "entmax":
-            doc["gamma"] = self.score_kind.gamma
-        if self.score_kind.variant == "raps":
-            p = self.score_kind.raps_params
-            doc["raps_params"] = {
-                "lambda_reg": p.lambda_reg,
-                "k_reg": p.k_reg,
-                "randomized": p.randomized,
-                "rng_seed": p.rng_seed,
-            }
         if self.beta_inv is not None:
             doc["beta_inv"] = "inf" if math.isinf(self.beta_inv) else self.beta_inv
         return doc
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "CalibratedPredictor":
-        variant = doc["score_kind"]
-        if variant == "entmax":
-            kind = ScoreKind.entmax(float(doc["gamma"]))
-        elif variant == "raps":
-            rp = doc["raps_params"]
-            kind = ScoreKind.raps(
-                RapsParams(
-                    lambda_reg=float(rp["lambda_reg"]),
-                    k_reg=int(rp["k_reg"]),
-                    randomized=bool(rp["randomized"]),
-                    rng_seed=int(rp["rng_seed"]),
-                )
+    def from_json_dict(cls, doc) -> "CalibratedPredictor":
+        """Inverse of :meth:`to_json_dict`; ``beta_inv`` is recomputed, not read."""
+        if not isinstance(doc, dict):
+            raise InvalidInput(f"a predictor must be a JSON object, got {doc!r}")
+        if set(doc) - {"beta_inv"} != _PREDICTOR_KEYS:
+            raise InvalidInput(
+                f"predictor fields must be {sorted(_PREDICTOR_KEYS)}, got {sorted(doc)}"
             )
-        else:
-            kind = ScoreKind(variant)
-        q_hat = doc["q_hat"]
-        q_hat = math.inf if q_hat == "inf" else float(q_hat)
-        beta_inv = doc.get("beta_inv")
-        if beta_inv is not None:
-            beta_inv = math.inf if beta_inv == "inf" else float(beta_inv)
-        return cls(
-            score_kind=kind,
-            alpha=float(doc["alpha"]),
-            q_hat=q_hat,
-            beta_inv=beta_inv,
-            calib_n=int(doc["calib_n"]),
-        )
+        kind = ScoreKind.from_dict(doc["score_kind"])
+        q_hat = math.inf if doc["q_hat"] == "inf" else doc["q_hat"]
+        pred = cls(kind, alpha=doc["alpha"], q_hat=q_hat, beta_inv=None,
+                   calib_n=doc["calib_n"], num_classes=doc["num_classes"])
+        return replace(pred, beta_inv=_temperature(kind, q_hat))
+
+
+_PREDICTOR_KEYS = {"score_kind", "alpha", "q_hat", "calib_n", "num_classes"}
+
+
+def _temperature(kind: ScoreKind, q_hat: float) -> float | None:
+    delta_inv = kind.delta_inv()
+    return None if delta_inv is None else delta_inv * q_hat
 
 
 def _check_alpha(alpha: float) -> float:
@@ -213,13 +208,11 @@ def calibrate(cal: LabeledLogitDataset, kind: ScoreKind, alpha: float) -> Calibr
         u = np.random.default_rng(kind.raps_params.rng_seed).uniform(size=cal.n)
     s = true_label_scores(cal.logits, cal.labels, kind, u=u)
     q_hat = conformal_quantile(s, alpha)
-    delta_inv = kind.delta_inv()
-    beta_inv = None if delta_inv is None else delta_inv * q_hat
     return CalibratedPredictor(
         score_kind=kind,
         alpha=alpha,
         q_hat=q_hat,
-        beta_inv=beta_inv,
+        beta_inv=_temperature(kind, q_hat),
         calib_n=cal.n,
         num_classes=cal.num_classes,
     )

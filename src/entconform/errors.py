@@ -5,6 +5,8 @@ code 2); everything else under ``EntconformError`` is a runtime failure
 (exit code 3).
 """
 
+import numbers
+
 
 class EntconformError(Exception):
     """Base class for all errors raised by this package."""
@@ -66,3 +68,15 @@ class NonConvergence(EntconformError):
 
 class IoError(EntconformError):
     """Failed to write an output artifact."""
+
+
+def checked(value, kind: type, what: str):
+    """``value`` unchanged if it has type ``kind``, else :class:`InvalidInput`.
+
+    ``int`` and ``float`` accept any integral or real number (a JSON integer
+    passes as a float); a bool passes only as ``bool``.
+    """
+    numeric = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, numeric):
+        raise InvalidInput(f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value

@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -30,6 +30,7 @@ from .errors import (
     IoError,
     LabelOutOfRange,
     ParseError,
+    checked,
 )
 from .metrics import EvaluationRun, MetricsReport, SizeBins, compute_report
 from .scores import RapsParams, ScoreKind
@@ -110,99 +111,85 @@ def load_dataset(path: str) -> LabeledLogitDataset:
     return LabeledLogitDataset(logits, np.asarray(labels, dtype=np.int64))
 
 
+def read_json_object(path: str) -> dict:
+    """Parse a file holding one JSON object; any failure is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot open {path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"bad JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path} must hold a JSON object")
+    return doc
+
+
+_GRID_TYPES = {"gamma_grid": float, "lambda_grid": float, "k_grid": int}
+
+
 @dataclass(frozen=True)
 class MethodSpec:
-    """One conformal method to run: a score kind, optionally grid-tuned."""
+    """One conformal method to run: a fixed score kind, or a score to tune.
+
+    ``kind`` is the score kind of an untuned method and None for a tuned
+    one, whose kind comes from the grid search of every cell.
+    """
 
     score: str
     name: str = ""
-    gamma: Optional[float] = None
-    lambda_reg: Optional[float] = None
-    k_reg: Optional[int] = None
-    randomized: bool = False
-    rng_seed: int = 0
+    kind: Optional[ScoreKind] = None
     tune: bool = False
     gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     k_grid: tuple[int, ...] = DEFAULT_K_GRID
 
     def __post_init__(self):
-        if self.score not in ("sparsemax", "entmax", "log_margin", "inv_prob", "raps"):
-            raise InvalidInput(f"unknown score {self.score!r}")
-        if self.tune and self.score not in ("entmax", "raps"):
-            raise InvalidInput(f"{self.score} has nothing to tune")
-        if not self.tune:
-            self.fixed_kind()  # validate eagerly
+        checked(self.name, str, "method name")
+        if checked(self.tune, bool, "tune"):
+            if self.score not in ("entmax", "raps"):
+                raise InvalidInput(f"{self.score} has nothing to tune")
+            if self.kind is not None:
+                raise InvalidInput("a tuned method takes no fixed score kind")
+        elif self.kind is None or self.kind.variant != self.score:
+            raise InvalidInput(f"untuned {self.score} method needs its score kind")
         if not self.name:
             object.__setattr__(self, "name", self._default_name())
 
     def _default_name(self) -> str:
         if self.score == "entmax":
-            return "opt-entmax" if self.tune else f"{self.gamma:g}-entmax"
-        return {
-            "sparsemax": "sparsemax",
-            "log_margin": "log-margin",
-            "inv_prob": "inv-prob",
-            "raps": "raps",
-        }[self.score]
-
-    def fixed_kind(self) -> ScoreKind:
-        """The score kind for an untuned method."""
-        if self.score == "entmax":
-            if self.gamma is None:
-                raise InvalidInput("entmax method needs a gamma (or tune: true)")
-            return ScoreKind.entmax(self.gamma)
-        if self.score == "raps":
-            if self.lambda_reg is None or self.k_reg is None:
-                raise InvalidInput(
-                    "raps method needs lambda_reg and k_reg (or tune: true)"
-                )
-            return ScoreKind.raps(
-                RapsParams(
-                    lambda_reg=self.lambda_reg,
-                    k_reg=self.k_reg,
-                    randomized=self.randomized,
-                    rng_seed=self.rng_seed,
-                )
-            )
-        return ScoreKind(self.score)
+            return "opt-entmax" if self.tune else f"{self.kind.gamma:g}-entmax"
+        return self.score.replace("_", "-")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MethodSpec":
-        known = {
-            "score", "name", "gamma", "lambda_reg", "k_reg", "randomized",
-            "rng_seed", "tune", "gamma_grid", "lambda_grid", "k_grid",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise InvalidInput(f"unknown method fields: {sorted(unknown)}")
+        """Method options (name, tune, grids) plus a score kind's fields,
+        of which a tuned method gives only ``score``."""
+        if not isinstance(doc, dict):
+            raise InvalidInput(f"a method entry must be a JSON object, got {doc!r}")
         if "score" not in doc:
             raise InvalidInput("method entry is missing 'score'")
-        kwargs = dict(doc)
-        for grid_key in ("gamma_grid", "lambda_grid", "k_grid"):
-            if grid_key in kwargs:
-                kwargs[grid_key] = tuple(kwargs[grid_key])
-        return cls(**kwargs)
+        options = {k: v for k, v in doc.items() if k in ("name", "tune", *_GRID_TYPES)}
+        kind_doc = {k: v for k, v in doc.items() if k not in options}
+        for key, kind in _GRID_TYPES.items():
+            if key in options:
+                grid = checked(options[key], list, key)
+                options[key] = tuple(checked(v, kind, f"{key} entry") for v in grid)
+        if options.get("tune") is True:
+            if set(kind_doc) != {"score"}:
+                raise InvalidInput(
+                    f"a tuned method takes no {sorted(set(kind_doc) - {'score'})}"
+                )
+            return cls(score=doc["score"], **options)
+        kind = ScoreKind.from_dict(kind_doc)
+        return cls(score=kind.variant, kind=kind, **options)
 
     def to_dict(self) -> dict:
-        doc: dict = {"score": self.score, "name": self.name}
-        if self.score == "entmax" and not self.tune:
-            doc["gamma"] = self.gamma
-        if self.score == "raps" and not self.tune:
-            doc.update(
-                lambda_reg=self.lambda_reg,
-                k_reg=self.k_reg,
-                randomized=self.randomized,
-                rng_seed=self.rng_seed,
-            )
-        if self.tune:
-            doc["tune"] = True
-            if self.score == "entmax":
-                doc["gamma_grid"] = list(self.gamma_grid)
-            else:
-                doc["lambda_grid"] = list(self.lambda_grid)
-                doc["k_grid"] = list(self.k_grid)
-        return doc
+        if not self.tune:
+            return {**self.kind.to_dict(), "name": self.name}
+        grids = ("gamma_grid",) if self.score == "entmax" else ("lambda_grid", "k_grid")
+        doc = {"score": self.score, "name": self.name, "tune": True}
+        return {**doc, **{key: list(getattr(self, key)) for key in grids}}
 
 
 @dataclass(frozen=True)
@@ -219,12 +206,14 @@ class ExperimentConfig:
     output_path: str = "."
 
     def __post_init__(self):
+        checked(self.input_path, str, "input_path")
+        checked(self.output_path, str, "output_path")
         if not self.methods:
             raise InvalidInput("config needs at least one method")
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise InvalidInput(f"duplicate method names: {names}")
-        alphas = tuple(float(a) for a in self.alphas)
+        alphas = tuple(float(checked(a, float, "alpha")) for a in self.alphas)
         if not alphas:
             raise InvalidInput("config needs at least one alpha")
         if any(not 0.0 < a < 1.0 for a in alphas):
@@ -232,44 +221,33 @@ class ExperimentConfig:
         if list(alphas) != sorted(alphas):
             raise InvalidInput("alphas must be sorted ascending")
         object.__setattr__(self, "alphas", alphas)
-        if self.n_splits < 1:
+        if checked(self.n_splits, int, "n_splits") < 1:
             raise InvalidInput("n_splits must be at least 1")
-        if not 0.0 < self.cal_fraction < 1.0:
+        if not 0.0 < checked(self.cal_fraction, float, "cal_fraction") < 1.0:
             raise InvalidInput("cal_fraction must lie in (0, 1)")
-        if self.base_seed < 0:
+        if checked(self.base_seed, int, "base_seed") < 0:
             raise InvalidInput("base_seed must be nonnegative")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {
-            "input_path", "methods", "alphas", "n_splits", "cal_fraction",
-            "base_seed", "bins", "output_path",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidInput(f"unknown config fields: {sorted(unknown)}")
         for required in ("input_path", "methods", "alphas"):
             if required not in doc:
                 raise InvalidInput(f"config is missing '{required}'")
         kwargs = dict(doc)
-        kwargs["methods"] = tuple(MethodSpec.from_dict(m) for m in doc["methods"])
-        kwargs["alphas"] = tuple(doc["alphas"])
+        kwargs["methods"] = tuple(
+            MethodSpec.from_dict(m) for m in checked(doc["methods"], list, "methods")
+        )
+        kwargs["alphas"] = tuple(checked(doc["alphas"], list, "alphas"))
         if doc.get("bins") is not None:
             kwargs["bins"] = SizeBins(tuple((lo, hi) for lo, hi in doc["bins"]))
         return cls(**kwargs)
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot open {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON in {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ParseError("config must be a JSON object")
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json_object(path))
 
     def to_dict(self) -> dict:
         doc = {
@@ -367,7 +345,7 @@ def _resolve_cell(cal, method: MethodSpec, alpha: float, seed: int):
     exchangeability with the test part.
     """
     if not method.tune:
-        return calibrate(cal, method.fixed_kind(), alpha), None
+        return calibrate(cal, method.kind, alpha), None
     tune_spec = SplitSpec((0.6, 0.4), seed=seed)
     if method.score == "entmax":
         result = tune_gamma(cal, alpha, method.gamma_grid, tune_spec)

@@ -20,12 +20,12 @@ through the ``u`` argument, never drawn from hidden global state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .activations import _as_logit_rows, _as_logits, descending_order, softmax
-from .errors import InvalidGamma, InvalidInput, LabelOutOfRange
+from .activations import _as_logit_rows, _as_logits, descending_order
+from .errors import InvalidGamma, InvalidInput, LabelOutOfRange, checked
 
 __all__ = [
     "RapsParams",
@@ -69,7 +69,18 @@ class RapsParams:
             raise InvalidInput("rng_seed must be nonnegative")
 
 
-_VARIANTS = ("sparsemax", "entmax", "log_margin", "inv_prob", "raps")
+# The fields of each variant in the flat JSON layout of a score kind, with
+# their types.  A sweep's report echoes this layout.
+_FIELDS = {
+    "sparsemax": {},
+    "entmax": {"gamma": float},
+    "log_margin": {},
+    "inv_prob": {},
+    "raps": {"lambda_reg": float, "k_reg": int, "randomized": bool, "rng_seed": int},
+}
+_VARIANTS = tuple(_FIELDS)
+# Fields that may be left out: RapsParams supplies their defaults.
+_OPTIONAL = ("randomized", "rng_seed")
 
 
 @dataclass(frozen=True)
@@ -122,9 +133,43 @@ class ScoreKind:
     def raps(cls, params: RapsParams) -> "ScoreKind":
         return cls("raps", raps_params=params)
 
-    @property
-    def is_rank_gap_family(self) -> bool:
-        return self.variant in ("sparsemax", "entmax", "log_margin")
+    @staticmethod
+    def field_types(variant: str) -> dict:
+        """The fields besides ``score`` in the variant's layout, with types."""
+        if variant not in _VARIANTS:
+            raise InvalidInput(f"unknown score variant {variant!r}")
+        return _FIELDS[variant]
+
+    def to_dict(self) -> dict:
+        """Flat layout: ``score`` plus the variant's own fields."""
+        doc = {"score": self.variant}
+        if self.gamma is not None:
+            doc["gamma"] = self.gamma
+        if self.raps_params is not None:
+            doc.update(asdict(self.raps_params))
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc) -> "ScoreKind":
+        """Inverse of :meth:`to_dict`, strict about fields and their types.
+
+        Values are kept as given (a JSON integer ``lambda_reg`` stays an
+        integer), so a decoded kind encodes back to the same JSON.
+        """
+        if not isinstance(doc, dict):
+            raise InvalidInput(f"a score kind must be a JSON object, got {doc!r}")
+        variant = doc.get("score")
+        types = cls.field_types(variant)
+        foreign = sorted(set(doc) - {"score"} - set(types))
+        missing = sorted(set(types) - set(doc) - set(_OPTIONAL))
+        if foreign:
+            raise InvalidInput(f"{variant} score does not take {foreign}")
+        if missing:
+            raise InvalidInput(f"{variant} score needs {missing}")
+        values = {k: checked(v, types[k], k) for k, v in doc.items() if k != "score"}
+        if variant == "raps":
+            return cls.raps(RapsParams(**values))
+        return cls(variant, **values)
 
     def delta_inv(self) -> float | None:
         """1/delta = gamma - 1 for the kinds with a temperature reading."""
@@ -154,28 +199,15 @@ def rank_of_label(z, y: int) -> int:
     return int(1 + np.count_nonzero(z > zy) + np.count_nonzero(z[:y] == zy))
 
 
-def _sorted_gaps(z: np.ndarray, y: int) -> np.ndarray:
-    """Gaps between each strictly-higher-ranked score and ``z[y]``."""
-    rank = rank_of_label(z, y)
-    top = -np.sort(-z)[: rank - 1]
-    return top - z[y]
-
-
-def _delta_norm(gaps: np.ndarray, delta: float) -> float:
-    """``||gaps||_delta``, scaled by the largest gap to avoid overflow."""
-    if gaps.size == 0:
-        return 0.0
-    m = gaps.max()
-    if m <= 0.0:
-        return 0.0
-    return float(m * np.power(np.power(gaps / m, delta).sum(), 1.0 / delta))
+def _score_one(z, y: int, kind: ScoreKind, u=None) -> float:
+    """One instance's score through the batch path, so both agree bit for bit."""
+    z = _as_logits(z)
+    return float(true_label_scores(z[None, :], [_check_label(y, z.size)], kind, u=u)[0])
 
 
 def score_sparsemax(z, y: int) -> float:
     """Sum of score gaps to every label ranked above ``y`` (0 at rank 1)."""
-    z = _as_logits(z)
-    gaps = _sorted_gaps(z, y)
-    return float(gaps.sum())
+    return _score_one(z, y, ScoreKind.sparsemax())
 
 
 def score_entmax(z, y: int, gamma: float) -> float:
@@ -188,22 +220,17 @@ def score_entmax(z, y: int, gamma: float) -> float:
         raise InvalidGamma(f"gamma must lie in (1, 2], got {gamma}")
     if gamma == 2.0:
         return score_sparsemax(z, y)
-    z = _as_logits(z)
-    return _delta_norm(_sorted_gaps(z, y), 1.0 / (gamma - 1.0))
+    return _score_one(z, y, ScoreKind.entmax(gamma))
 
 
 def score_log_margin(z, y: int) -> float:
     """``max(z) - z[y]``: the gap-vector max norm, the delta -> inf limit."""
-    z = _as_logits(z)
-    y = _check_label(y, z.size)
-    return float(z.max() - z[y])
+    return _score_one(z, y, ScoreKind.log_margin())
 
 
 def score_inv_prob(z, y: int) -> float:
     """One minus the softmax probability of ``y``."""
-    z = _as_logits(z)
-    y = _check_label(y, z.size)
-    return float(1.0 - softmax(z).probs[y])
+    return _score_one(z, y, ScoreKind.inv_prob())
 
 
 def score_raps(z, y: int, params: RapsParams, u: float = 1.0) -> float:
@@ -216,17 +243,7 @@ def score_raps(z, y: int, params: RapsParams, u: float = 1.0) -> float:
     ``u`` is the caller-supplied randomization weight in [0, 1]; 1 gives
     the deterministic variant.
     """
-    z = _as_logits(z)
-    y = _check_label(y, z.size)
-    scores = _raps_all(z[None, :], params, np.asarray([_check_u(u)]))
-    return float(scores[0, y])
-
-
-def _check_u(u: float) -> float:
-    u = float(u)
-    if not 0.0 <= u <= 1.0:
-        raise InvalidInput(f"u must lie in [0, 1], got {u}")
-    return u
+    return _score_one(z, y, ScoreKind.raps(params), u=u)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +271,16 @@ def _sparsemax_all_sorted(zs: np.ndarray) -> np.ndarray:
     return prefix - np.arange(zs.shape[1]) * zs
 
 
+def _gap_norm(gaps: np.ndarray, delta: float) -> np.ndarray:
+    """delta-norm along the last axis of gap vectors that lead with their
+    largest gap; dividing by it keeps ``gaps**delta`` from overflowing."""
+    top = gaps[..., 0]
+    ratios = np.divide(
+        gaps, top[..., None], out=np.zeros_like(gaps), where=top[..., None] > 0.0
+    )
+    return top * np.power(np.power(ratios, delta).sum(axis=-1), 1.0 / delta)
+
+
 def _entmax_all_sorted(zs: np.ndarray, delta: float) -> np.ndarray:
     out = np.empty_like(zs)
     k = zs.shape[1]
@@ -262,12 +289,7 @@ def _entmax_all_sorted(zs: np.ndarray, delta: float) -> np.ndarray:
     for start in range(0, zs.shape[0], block):
         rows = zs[start : start + block]
         gaps = np.where(tri, rows[:, None, :] - rows[:, :, None], 0.0)
-        top = gaps[:, :, 0]
-        ratios = np.divide(
-            gaps, top[:, :, None], out=np.zeros_like(gaps), where=top[:, :, None] > 0.0
-        )
-        sums = np.power(ratios, delta).sum(axis=2)
-        out[start : start + block] = top * np.power(sums, 1.0 / delta)
+        out[start : start + block] = _gap_norm(gaps, delta)
     return out
 
 
@@ -296,7 +318,7 @@ def _resolve_u(n: int, u) -> np.ndarray:
     if u is None:
         u = 1.0
     arr = np.broadcast_to(np.asarray(u, dtype=np.float64), (n,)).copy()
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise InvalidInput("u must lie in [0, 1]")
     return arr
 
@@ -350,9 +372,4 @@ def true_label_scores(Z, labels, kind: ScoreKind, u=None) -> np.ndarray:
     gaps = np.where(above, zs - zy[:, None], 0.0)
     if kind.variant == "sparsemax":
         return gaps.sum(axis=1)
-    delta = 1.0 / (kind.gamma - 1.0)
-    top = gaps[:, 0]
-    ratios = np.divide(
-        gaps, top[:, None], out=np.zeros_like(gaps), where=top[:, None] > 0.0
-    )
-    return top * np.power(np.power(ratios, delta).sum(axis=1), 1.0 / delta)
+    return _gap_norm(gaps, 1.0 / (kind.gamma - 1.0))

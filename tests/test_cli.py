@@ -67,9 +67,11 @@ class TestCalibrateEvaluate:
         )
         assert code == 0
         doc = json.loads(open(pred_path).read())
-        assert doc["score_kind"] == "entmax"
-        assert doc["gamma"] == 1.5
-        assert "beta_inv" in doc
+        assert set(doc) == {
+            "score_kind", "alpha", "q_hat", "beta_inv", "calib_n", "num_classes"
+        }
+        assert doc["score_kind"] == {"score": "entmax", "gamma": 1.5}
+        assert doc["num_classes"] == 4
 
         report_path = str(tmp_path / "report.json")
         code = main(
@@ -99,7 +101,11 @@ class TestCalibrateEvaluate:
         )
         assert code == 0
         doc = json.loads(open(pred_path).read())
-        assert doc["raps_params"]["k_reg"] == 2
+        assert set(doc) == {"score_kind", "alpha", "q_hat", "calib_n", "num_classes"}
+        assert doc["score_kind"] == {
+            "score": "raps", "lambda_reg": 0.01, "k_reg": 2, "randomized": False,
+            "rng_seed": 0,
+        }
         capsys.readouterr()
 
     def test_entmax_without_gamma_exits_2(self, tmp_path, dataset_csv, capsys):
@@ -119,6 +125,134 @@ class TestCalibrateEvaluate:
         )
         assert code == 2
         capsys.readouterr()
+
+
+def calibrate_entmax(tmp_path, dataset_csv):
+    pred_path = tmp_path / "pred.json"
+    assert main(
+        ["calibrate", "--input", dataset_csv, "--score", "entmax", "--gamma", "1.5",
+         "--alpha", "0.1", "--out", str(pred_path)]
+    ) == 0
+    return pred_path
+
+
+def _without(key):
+    def edit(doc):
+        del doc[key]
+    return edit
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _set_kind(key, value):
+    def edit(doc):
+        doc["score_kind"][key] = value
+    return edit
+
+
+def _del_gamma(doc):
+    del doc["score_kind"]["gamma"]
+
+
+def _flat_layout(doc):
+    # the layout before the score kind was nested: the kind's fields at top level
+    doc.update(doc.pop("score_kind"))
+    doc["score_kind"] = doc.pop("score")
+
+
+class TestPredictorFile:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _del_gamma,
+            _set_kind("gamma", "abc"),
+            _set_kind("gamma", 2.0),
+            _set_kind("lambda_reg", 0.1),
+            _set_kind("score", "softmax"),
+            _set("score_kind", "entmax"),
+            _flat_layout,
+            _set("alpha", "x"),
+            _set("alpha", 1.5),
+            _set("q_hat", -1.0),
+            _set("q_hat", "nan"),
+            _set("q_hat", None),
+            _set("calib_n", 0),
+            _set("calib_n", 2.5),
+            _set("calib_n", True),
+            _set("num_classes", "4"),
+            _set("num_classes", 1),
+            _set("extra", 1),
+            _without("q_hat"),
+            _without("num_classes"),
+            lambda doc: [doc],
+        ],
+        ids=[
+            "missing-gamma", "gamma-str", "gamma-2", "foreign-field", "unknown-score",
+            "kind-not-object", "flat-layout", "alpha-str", "alpha-range", "q-hat-negative",
+            "q-hat-nan", "q-hat-null", "calib-n-zero", "calib-n-real", "calib-n-bool",
+            "num-classes-str", "num-classes-1", "unknown-key", "missing-q-hat",
+            "missing-num-classes", "top-level-list",
+        ],
+    )
+    def test_malformed_predictor_exits_2(self, tmp_path, dataset_csv, capsys, edit):
+        pred_path = calibrate_entmax(tmp_path, dataset_csv)
+        doc = json.loads(pred_path.read_text())
+        doc = edit(doc) or doc
+        pred_path.write_text(json.dumps(doc))
+        code = main(["evaluate", "--predictor", str(pred_path), "--input", dataset_csv,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_not_json_exits_2(self, tmp_path, dataset_csv, capsys):
+        pred_path = tmp_path / "pred.json"
+        pred_path.write_text("{")
+        code = main(["evaluate", "--predictor", str(pred_path), "--input", dataset_csv,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        capsys.readouterr()
+
+    def test_class_count_mismatch_exits_2(self, tmp_path, capsys):
+        cal_csv, test_csv = str(tmp_path / "k10.csv"), str(tmp_path / "k20.csv")
+        write_dataset_csv(cal_csv, make_task(200, num_classes=10, seed=1))
+        write_dataset_csv(test_csv, make_task(50, num_classes=20, seed=2))
+        pred_path = str(tmp_path / "pred.json")
+        assert main(["calibrate", "--input", cal_csv, "--score", "sparsemax",
+                     "--alpha", "0.1", "--out", pred_path]) == 0
+        code = main(["evaluate", "--predictor", pred_path, "--input", test_csv,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "K=10" in capsys.readouterr().err
+
+    def test_missing_predictor_exits_2(self, tmp_path, dataset_csv, capsys):
+        missing = str(tmp_path / "absent.json")
+        code = main(["evaluate", "--predictor", missing, "--input", dataset_csv,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert missing in capsys.readouterr().err
+
+
+class TestOutputErrors:
+    def test_unwritable_calibrate_out_exits_3(self, tmp_path, dataset_csv, capsys):
+        out = str(tmp_path / "no-such-dir" / "pred.json")
+        code = main(["calibrate", "--input", dataset_csv, "--score", "sparsemax",
+                     "--alpha", "0.1", "--out", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "IoError" in err and out in err
+
+    def test_unwritable_evaluate_out_exits_3(self, tmp_path, dataset_csv, capsys):
+        pred_path = calibrate_entmax(tmp_path, dataset_csv)
+        out = str(tmp_path / "no-such-dir" / "report.json")
+        code = main(["evaluate", "--predictor", str(pred_path), "--input", dataset_csv,
+                     "--out", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "IoError" in err and out in err
 
 
 class TestSweepCommand:
@@ -143,6 +277,60 @@ class TestSweepCommand:
         assert set(report["per_split"]) == {"sparsemax", "raps"}
         assert (out_dir / "plotdata.csv").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ((0, "gamma"), "x"),
+            ((0, "gamma"), True),
+            ((1, "k_reg"), "5"),
+            ((1, "lambda_reg"), [0.1]),
+            ((1, "randomized"), "yes"),
+            ((1, "rng_seed"), 1.5),
+            ((1, "gamma"), 1.5),
+            ((2, "tune"), "yes"),
+            ((2, "gamma"), 1.5),
+            ((2, "gamma_grid"), 1.5),
+            ((2, "gamma_grid"), ["x"]),
+            ((0, "name"), 7),
+            (("n_splits",), "2"),
+            (("n_splits",), True),
+            (("alphas",), 0.1),
+            (("alphas",), ["0.1"]),
+            (("cal_fraction",), "0.4"),
+            (("base_seed",), 1.5),
+            (("methods",), {"score": "sparsemax"}),
+            (("methods",), [5]),
+            (("input_path",), 5),
+        ],
+        ids=[
+            "gamma-str", "gamma-bool", "k-reg-str", "lambda-list", "randomized-str",
+            "rng-seed-real", "foreign-gamma", "tune-str", "tuned-with-gamma",
+            "grid-scalar", "grid-str", "name-int", "n-splits-str", "n-splits-bool",
+            "alphas-scalar", "alpha-str", "cal-fraction-str", "base-seed-real",
+            "methods-object", "method-int", "input-path-int",
+        ],
+    )
+    def test_mistyped_config_exits_2(self, tmp_path, dataset_csv, capsys, path, value):
+        cfg = {
+            "input_path": dataset_csv,
+            "methods": [
+                {"score": "entmax", "gamma": 1.5},
+                {"score": "raps", "lambda_reg": 0.01, "k_reg": 2},
+                {"score": "entmax", "tune": True, "gamma_grid": [1.3, 1.6]},
+            ],
+            "alphas": [0.2],
+            "n_splits": 1,
+            "cal_fraction": 0.5,
+            "base_seed": 1,
+        }
+        target = cfg["methods"][path[0]] if len(path) == 2 else cfg
+        target[path[-1]] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -250,18 +250,55 @@ class TestTemperatureEquivalence:
                     assert cs == set(sup.labels)
 
 
+class TestTieSemantics:
+    """Behaviour pinned where a score equals q_hat or logits are tied."""
+
+    @pytest.mark.parametrize("gamma", [2.0, 1.5])
+    def test_score_at_q_hat_in_set_but_not_in_support(self, gamma):
+        # label 1 has one gap, 3 - 1 = 2, so its score is 2.0 for every gamma.
+        # The threshold is closed, so the score route keeps it; at
+        # beta = delta / q_hat its entmax probability is exactly 0.
+        z = np.array([3.0, 1.0, 0.0, 0.0])
+        kind = ScoreKind.sparsemax() if gamma == 2.0 else ScoreKind.entmax(gamma)
+        delta = 1.0 / (gamma - 1.0)
+        q_hat = 2.0
+        assert all_label_scores(z[None, :], kind)[0, 1] == q_hat
+        pred = CalibratedPredictor(
+            kind, alpha=0.1, q_hat=q_hat, beta_inv=q_hat / delta, calib_n=10
+        )
+        assert predict_set(z, pred).labels == (0, 1)
+        assert support_set_via_entmax(z, delta / q_hat, gamma).labels == (0,)
+
+    def test_tied_logits_get_equal_rank_gap_scores(self):
+        z = np.array([[2.0, 1.0, 1.0, 0.0]])
+        for kind in (ScoreKind.sparsemax(), ScoreKind.entmax(1.5), ScoreKind.log_margin()):
+            s = all_label_scores(z, kind)[0]
+            assert s[1] == s[2]
+            pred = CalibratedPredictor(kind, alpha=0.1, q_hat=s[1], beta_inv=None, calib_n=10)
+            assert predict_set(z[0], pred).labels == (0, 1, 2)
+
+    def test_raps_breaks_ties_lower_index_first(self):
+        # labels 1 and 2 are tied; label 1 is ranked first, so its RAPS
+        # score stops short of label 2's own mass and the later twin is left out
+        z = np.array([[2.0, 1.0, 1.0, 0.0]])
+        kind = ScoreKind.raps(RapsParams(lambda_reg=0.0, k_reg=1))
+        s = all_label_scores(z, kind)[0]
+        assert s[1] < s[2]
+        pred = CalibratedPredictor(kind, alpha=0.1, q_hat=s[1], beta_inv=None, calib_n=10)
+        assert predict_set(z[0], pred).labels == (0, 1)
+
+
 class TestSerialization:
     def test_field_names_and_roundtrip(self):
         cal = toy_dataset()
         pred = calibrate(cal, ScoreKind.entmax(1.5), 0.5)
         doc = pred.to_json_dict()
-        assert set(doc) == {"score_kind", "gamma", "alpha", "q_hat", "beta_inv", "calib_n"}
-        assert doc["score_kind"] == "entmax"
+        assert set(doc) == {
+            "score_kind", "alpha", "q_hat", "beta_inv", "calib_n", "num_classes"
+        }
+        assert doc["score_kind"] == {"score": "entmax", "gamma": 1.5}
         back = CalibratedPredictor.from_json_dict(json.loads(json.dumps(doc)))
-        assert back.score_kind == pred.score_kind
-        assert back.q_hat == pred.q_hat
-        assert back.beta_inv == pred.beta_inv
-        assert back.calib_n == pred.calib_n
+        assert back == pred
 
     def test_infinite_q_hat_serialized_as_string(self):
         cal = toy_dataset()
@@ -276,20 +313,22 @@ class TestSerialization:
         cal = toy_dataset()
         kind = ScoreKind.raps(RapsParams(lambda_reg=0.01, k_reg=2, randomized=True, rng_seed=5))
         doc = calibrate(cal, kind, 0.5).to_json_dict()
-        assert set(doc) == {"score_kind", "raps_params", "alpha", "q_hat", "calib_n"}
-        assert doc["raps_params"] == {
+        assert set(doc) == {"score_kind", "alpha", "q_hat", "calib_n", "num_classes"}
+        assert doc["score_kind"] == {
+            "score": "raps",
             "lambda_reg": 0.01,
             "k_reg": 2,
             "randomized": True,
             "rng_seed": 5,
         }
         back = CalibratedPredictor.from_json_dict(doc)
-        assert back.score_kind.raps_params.k_reg == 2
+        assert back.score_kind == kind
 
     def test_other_kinds_omit_optional_fields(self):
         cal = toy_dataset()
         doc = calibrate(cal, ScoreKind.inv_prob(), 0.5).to_json_dict()
-        assert set(doc) == {"score_kind", "alpha", "q_hat", "calib_n"}
+        assert set(doc) == {"score_kind", "alpha", "q_hat", "calib_n", "num_classes"}
+        assert doc["score_kind"] == {"score": "inv_prob"}
 
 
 class TestDatasetValidation:

@@ -155,6 +155,25 @@ class TestRapsScore:
             RapsParams(lambda_reg=0.1, k_reg=0)
 
 
+class TestScalarRoutesThroughBatch:
+    def test_bitwise_equal_to_true_label_scores(self):
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            z = rng.uniform(-5.0, 5.0, size=rng.integers(2, 14))
+            y = int(rng.integers(0, z.size))
+            for kind, scalar in (
+                (ScoreKind.sparsemax(), score_sparsemax(z, y)),
+                (ScoreKind.entmax(1.3), score_entmax(z, y, 1.3)),
+                (ScoreKind.log_margin(), score_log_margin(z, y)),
+                (ScoreKind.inv_prob(), score_inv_prob(z, y)),
+            ):
+                assert scalar == true_label_scores(z[None, :], [y], kind)[0]
+
+    def test_nan_u_rejected(self):
+        with pytest.raises(InvalidInput):
+            score_raps(Z5, 0, RapsParams(lambda_reg=0.0, k_reg=1), u=math.nan)
+
+
 class TestScoreKind:
     def test_entmax_gamma_must_be_interior(self):
         for gamma in (1.0, 2.0, 0.5):
@@ -167,6 +186,42 @@ class TestScoreKind:
         assert ScoreKind.entmax(1.5).delta_inv() == pytest.approx(0.5)
         assert ScoreKind.log_margin().delta_inv() is None
         assert ScoreKind.inv_prob().delta_inv() is None
+
+    def test_dict_roundtrip(self):
+        for kind in ALL_KINDS + [ScoreKind.raps(RapsParams(0.5, 3, True, 7))]:
+            assert ScoreKind.from_dict(kind.to_dict()) == kind
+        assert ScoreKind.raps(RapsParams(0.5, 3, True, 7)).to_dict() == {
+            "score": "raps", "lambda_reg": 0.5, "k_reg": 3, "randomized": True,
+            "rng_seed": 7,
+        }
+
+    def test_from_dict_keeps_values_untyped(self):
+        # an integer lambda_reg must echo back as an integer
+        doc = {"score": "raps", "lambda_reg": 0, "k_reg": 2}
+        back = ScoreKind.from_dict(doc).to_dict()
+        assert back == {**doc, "randomized": False, "rng_seed": 0}
+        assert type(back["lambda_reg"]) is int
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            ["score", "sparsemax"],
+            {},
+            {"score": "softmax"},
+            {"score": ["entmax"]},
+            {"score": "entmax"},
+            {"score": "entmax", "gamma": "1.5"},
+            {"score": "entmax", "gamma": True},
+            {"score": "sparsemax", "gamma": 1.5},
+            {"score": "raps", "k_reg": 2},
+            {"score": "raps", "lambda_reg": 0.1, "k_reg": 2.0},
+            {"score": "raps", "lambda_reg": 0.1, "k_reg": 2, "randomized": 1},
+            {"score": "raps", "lambda_reg": 0.1, "k_reg": 2, "rng_seed": "3"},
+        ],
+    )
+    def test_from_dict_rejects(self, doc):
+        with pytest.raises(InvalidInput):
+            ScoreKind.from_dict(doc)
 
     def test_mismatched_fields_rejected(self):
         with pytest.raises(InvalidInput):
