@@ -25,6 +25,7 @@ from .conformal import (
     conformal_quantile,
     predict_set,
     predict_sets,
+    set_masks,
     support_set_via_entmax,
     support_sets_via_entmax,
 )

@@ -15,12 +15,16 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .activations import EntmaxConfig, entmax
-from .conformal import CalibratedPredictor, calibrate, predict_sets
-from .errors import EntconformError, IoError, ParseError, ValidationError
-from .harness import ExperimentConfig, load_dataset, read_json_object, run_sweep
+from .conformal import CalibratedPredictor, calibrate, set_masks
+from .errors import EntconformError, IoError, ValidationError
+from .harness import (
+    ExperimentConfig,
+    _read_logits_csv,
+    load_dataset,
+    read_json_object,
+    run_sweep,
+)
 from .metrics import EvaluationRun, SizeBins, compute_report
 from .scores import ScoreKind
 
@@ -46,42 +50,8 @@ def _write_json(path: str, doc: dict) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _read_logits_stdin() -> np.ndarray:
-    """Logits from stdin CSV: either the dataset format or bare z0,z1,..."""
-    import csv as _csv
-
-    reader = _csv.reader(sys.stdin)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: missing header", line=1) from None
-    header = [h.strip() for h in header]
-    if header and header[0] == "label":
-        skip_label, width = True, len(header) - 1
-    elif header == [f"z{i}" for i in range(len(header))]:
-        skip_label, width = False, len(header)
-    else:
-        raise ParseError(
-            "header must be label,z0,... or z0,z1,...", line=1
-        )
-    if width < 2:
-        raise ParseError("need at least two classes", line=1)
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        values = row[1:] if skip_label else row
-        if len(values) != width:
-            raise ParseError(f"expected {width} score fields", line=lineno)
-        try:
-            rows.append([float(v) for v in values])
-        except ValueError:
-            raise ParseError(f"bad score value in {values!r}", line=lineno) from None
-    return np.asarray(rows, dtype=np.float64).reshape(-1, width)
-
-
 def _cmd_transform(args) -> int:
-    logits = _read_logits_stdin()
+    logits, _ = _read_logits_csv(sys.stdin)
     cfg = EntmaxConfig(gamma=args.gamma)
     if args.beta < 0.0:
         raise ValidationError(f"beta must be nonnegative, got {args.beta}")
@@ -104,9 +74,8 @@ def _cmd_calibrate(args) -> int:
 def _cmd_evaluate(args) -> int:
     pred = CalibratedPredictor.from_json_dict(read_json_object(args.predictor))
     data = load_dataset(args.input)
-    sets = predict_sets(data.logits, pred)
     run = EvaluationRun(
-        sets=tuple(sets),
+        sets=set_masks(data.logits, pred),
         labels=data.labels,
         alpha=pred.alpha,
         method_name=pred.score_kind.variant,

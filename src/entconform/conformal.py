@@ -45,6 +45,7 @@ __all__ = [
     "conformal_quantile",
     "predict_set",
     "predict_sets",
+    "set_masks",
     "support_set_via_entmax",
     "support_sets_via_entmax",
 ]
@@ -218,11 +219,11 @@ def calibrate(cal: LabeledLogitDataset, kind: ScoreKind, alpha: float) -> Calibr
     )
 
 
-def predict_sets(Z, pred: CalibratedPredictor, u=None) -> list[PredictionSet]:
-    """Prediction sets for a batch of test score vectors.
+def set_masks(Z, pred: CalibratedPredictor, u=None) -> np.ndarray:
+    """Prediction sets for a batch of test score vectors, as a bool (n, K) mask.
 
-    Includes every label whose score is at most ``pred.q_hat``
-    (everything, when calibration could not certify the requested level
+    Row i marks every label whose score is at most ``pred.q_hat``
+    (every label, when calibration could not certify the requested level
     and ``q_hat`` is +inf).  For the randomized RAPS kind with ``u`` not
     given, per-instance weights are drawn from
     ``default_rng(params.rng_seed + 1)``: a stream distinct from the
@@ -234,14 +235,16 @@ def predict_sets(Z, pred: CalibratedPredictor, u=None) -> list[PredictionSet]:
             f"predictor was calibrated with K={pred.num_classes}, got {Z.shape[1]}"
         )
     if math.isinf(pred.q_hat):
-        full = PredictionSet(tuple(range(Z.shape[1])))
-        return [full] * Z.shape[0]
+        return np.ones(Z.shape, dtype=bool)
     kind = pred.score_kind
     if kind.variant == "raps" and kind.raps_params.randomized and u is None:
         u = np.random.default_rng(kind.raps_params.rng_seed + 1).uniform(size=Z.shape[0])
-    s = all_label_scores(Z, kind, u=u)
-    mask = s <= pred.q_hat
-    return [PredictionSet.from_mask(row) for row in mask]
+    return all_label_scores(Z, kind, u=u) <= pred.q_hat
+
+
+def predict_sets(Z, pred: CalibratedPredictor, u=None) -> list[PredictionSet]:
+    """The rows of :func:`set_masks` as one :class:`PredictionSet` each."""
+    return [PredictionSet.from_mask(row) for row in set_masks(Z, pred, u)]
 
 
 def predict_set(z, pred: CalibratedPredictor, u=None) -> PredictionSet:

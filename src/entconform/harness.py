@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conformal import LabeledLogitDataset, calibrate, predict_sets
+from .conformal import LabeledLogitDataset, calibrate, set_masks
 from .errors import (
     InconsistentWidth,
     InvalidInput,
@@ -70,45 +70,51 @@ def load_dataset(path: str) -> LabeledLogitDataset:
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file: missing header", line=1) from None
-        expected = ["label"] + [f"z{i}" for i in range(len(header) - 1)]
-        if len(header) < 3 or [h.strip() for h in header] != expected:
-            raise ParseError(
-                f"header must be label,z0,...,z{{K-1}} with K >= 2, got {header!r}",
-                line=1,
-            )
-        k = len(header) - 1
-        labels: list[int] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != k + 1:
-                raise InconsistentWidth(
-                    f"expected {k + 1} fields, got {len(row)}", line=lineno
-                )
+        logits, labels = _read_logits_csv(fh, labeled=True)
+    return LabeledLogitDataset(logits, labels)
+
+
+def _read_logits_csv(fh, labeled: bool = False):
+    """``(logits, labels)`` from CSV text with a ``label,z0,...,z{K-1}``
+    header, or, unless ``labeled``, a bare ``z0,...,z{K-1}`` one, whose
+    labels are None.  Malformed rows raise with their 1-based line number.
+    """
+    reader = csv.reader(fh)
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ParseError("empty input: missing header", line=1) from None
+    offset = 1 if header[:1] == ["label"] else 0
+    k = len(header) - offset
+    names_ok = header[offset:] == [f"z{i}" for i in range(k)]
+    if k < 2 or not names_ok or (labeled and not offset):
+        form = "label,z0,...,z{K-1}" if labeled else "[label,]z0,...,z{K-1}"
+        raise ParseError(f"header must be {form} with K >= 2, got {header!r}", line=1)
+    width = k + offset
+    labels: list[int] = []
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise InconsistentWidth(f"expected {width} fields, got {len(row)}", line=lineno)
+        if offset:
             try:
                 label = int(row[0])
             except ValueError:
                 raise ParseError(f"bad label {row[0]!r}", line=lineno) from None
             if not 0 <= label < k:
-                raise LabelOutOfRange(
-                    f"line {lineno}: label {label} outside [0, {k})"
-                )
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError:
-                raise ParseError(f"bad score value in {row[1:]!r}", line=lineno) from None
-            if not all(math.isfinite(v) for v in values):
-                raise ParseError("non-finite score value", line=lineno)
+                raise LabelOutOfRange(f"line {lineno}: label {label} outside [0, {k})")
             labels.append(label)
-            rows.append(values)
+        try:
+            values = [float(v) for v in row[offset:]]
+        except ValueError:
+            raise ParseError(f"bad score value in {row[offset:]!r}", line=lineno) from None
+        if not all(math.isfinite(v) for v in values):
+            raise ParseError("non-finite score value", line=lineno)
+        rows.append(values)
     logits = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, k))
-    return LabeledLogitDataset(logits, np.asarray(labels, dtype=np.int64))
+    return logits, np.asarray(labels, dtype=np.int64) if offset else None
 
 
 def read_json_object(path: str) -> dict:
@@ -242,7 +248,10 @@ class ExperimentConfig:
         )
         kwargs["alphas"] = tuple(checked(doc["alphas"], list, "alphas"))
         if doc.get("bins") is not None:
-            kwargs["bins"] = SizeBins(tuple((lo, hi) for lo, hi in doc["bins"]))
+            edges = checked(doc["bins"], list, "bins")
+            if not all(isinstance(e, list) and len(e) == 2 for e in edges):
+                raise InvalidInput(f"bins must be [lo, hi] pairs, got {edges!r}")
+            kwargs["bins"] = SizeBins(tuple(map(tuple, edges)))
         return cls(**kwargs)
 
     @classmethod
@@ -378,9 +387,8 @@ def run_experiment(
         for method in cfg.methods:
             for alpha in cfg.alphas:
                 pred, tuning = _resolve_cell(cal, method, alpha, seed)
-                sets = predict_sets(test.logits, pred)
                 run = EvaluationRun(
-                    sets=tuple(sets),
+                    sets=set_masks(test.logits, pred),
                     labels=test.labels,
                     alpha=alpha,
                     method_name=method.name,

@@ -9,13 +9,13 @@ and reporting the worst per-bin deviation from the nominal level
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .conformal import PredictionSet
-from .errors import EmptyRun, InvalidInput
+from .errors import EmptyRun, InvalidInput, checked
 
 __all__ = [
     "BinStat",
@@ -38,7 +38,10 @@ class SizeBins:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        edges = tuple((int(lo), int(hi)) for lo, hi in self.edges)
+        edges = tuple(
+            (int(checked(lo, int, "bin edge")), int(checked(hi, int, "bin edge")))
+            for lo, hi in self.edges
+        )
         if not edges:
             raise InvalidInput("need at least one bin")
         if edges[0][0] != 0:
@@ -63,45 +66,54 @@ class SizeBins:
         ]
         return cls(tuple(edges))
 
-    def index_of(self, size: int) -> int:
-        for i, (lo, hi) in enumerate(self.edges):
-            if lo <= size <= hi:
-                return i
-        raise InvalidInput(f"set size {size} not covered by bins {self.edges}")
-
 
 @dataclass(frozen=True)
 class EvaluationRun:
-    """Prediction sets with true labels for one (method, alpha) evaluation."""
+    """Prediction sets with true labels for one (method, alpha) evaluation.
 
-    sets: tuple[PredictionSet, ...]
+    ``sets`` is either a bool (n, K) mask, as :func:`set_masks` returns,
+    or a sequence of :class:`PredictionSet`.  Each set's ``sizes`` and
+    whether it ``covered`` its label are derived once, on construction.
+    """
+
+    sets: Union[np.ndarray, Sequence[PredictionSet]]
     labels: np.ndarray
     alpha: float
     method_name: str = ""
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    covered: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sets = tuple(self.sets)
         labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.shape != (len(sets),):
-            raise InvalidInput("labels must match the number of prediction sets")
+        if isinstance(self.sets, np.ndarray):
+            sets = self.sets
+            if sets.dtype != bool or sets.ndim != 2:
+                raise InvalidInput("a set mask must be a 2-D bool array")
+            if labels.shape != (sets.shape[0],):
+                raise InvalidInput("labels must match the number of prediction sets")
+            if labels.size and (labels.min() < 0 or labels.max() >= sets.shape[1]):
+                raise InvalidInput(f"labels must lie in [0, {sets.shape[1]})")
+            sizes = sets.sum(axis=1, dtype=np.int64)
+            covered = sets[np.arange(labels.size), labels]
+        else:
+            sets = tuple(self.sets)
+            if labels.shape != (len(sets),):
+                raise InvalidInput("labels must match the number of prediction sets")
+            n = len(sets)
+            sizes = np.fromiter((s.size for s in sets), dtype=np.int64, count=n)
+            covered = np.fromiter(
+                (int(lab) in s for s, lab in zip(sets, labels)), dtype=bool, count=n
+            )
         if not 0.0 < self.alpha < 1.0:
             raise InvalidInput("alpha must lie in (0, 1)")
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "covered", covered)
 
     @property
     def n(self) -> int:
-        return len(self.sets)
-
-    def covered(self) -> np.ndarray:
-        return np.fromiter(
-            (int(lab) in s for s, lab in zip(self.sets, self.labels)),
-            dtype=bool,
-            count=self.n,
-        )
-
-    def sizes(self) -> np.ndarray:
-        return np.fromiter((s.size for s in self.sets), dtype=np.int64, count=self.n)
+        return int(self.sizes.size)
 
 
 def _require_nonempty(run: EvaluationRun):
@@ -112,13 +124,13 @@ def _require_nonempty(run: EvaluationRun):
 def empirical_coverage(run: EvaluationRun) -> float:
     """Fraction of instances whose true label is in the predicted set."""
     _require_nonempty(run)
-    return float(run.covered().mean())
+    return float(run.covered.mean())
 
 
 def avg_set_size(run: EvaluationRun) -> float:
     """Mean number of labels per prediction set."""
     _require_nonempty(run)
-    return float(run.sizes().mean())
+    return float(run.sizes.mean())
 
 
 def singleton_stats(run: EvaluationRun) -> tuple[float, Optional[float]]:
@@ -127,11 +139,11 @@ def singleton_stats(run: EvaluationRun) -> tuple[float, Optional[float]]:
     The restricted coverage is None when no singletons were predicted.
     """
     _require_nonempty(run)
-    single = run.sizes() == 1
+    single = run.sizes == 1
     ratio = float(single.mean())
     if not single.any():
         return ratio, None
-    return ratio, float(run.covered()[single].mean())
+    return ratio, float(run.covered[single].mean())
 
 
 @dataclass(frozen=True)
@@ -147,16 +159,18 @@ class BinStat:
 def size_stratified_coverage(run: EvaluationRun, bins: SizeBins) -> list[BinStat]:
     """Per-bin instance counts and coverages, empty bins reported as None."""
     _require_nonempty(run)
-    sizes = run.sizes()
-    covered = run.covered()
-    assignment = np.fromiter(
-        (bins.index_of(int(s)) for s in sizes), dtype=np.int64, count=run.n
-    )
+    # bins start at 0 and are contiguous, so a size's bin is the first
+    # whose upper edge reaches it
+    assignment = np.searchsorted([hi for _, hi in bins.edges], run.sizes)
+    beyond = assignment == len(bins.edges)
+    if beyond.any():
+        size = int(run.sizes[beyond][0])
+        raise InvalidInput(f"set size {size} not covered by bins {bins.edges}")
     stats = []
     for i, (lo, hi) in enumerate(bins.edges):
         in_bin = assignment == i
         count = int(in_bin.sum())
-        cov = float(covered[in_bin].mean()) if count else None
+        cov = float(run.covered[in_bin].mean()) if count else None
         stats.append(BinStat(lo=lo, hi=hi, n=count, coverage=cov))
     return stats
 

@@ -16,8 +16,8 @@ from typing import Union
 
 import numpy as np
 
-from .conformal import LabeledLogitDataset, calibrate, predict_sets
-from .errors import InsufficientData, InvalidFractions, InvalidInput
+from .conformal import LabeledLogitDataset, calibrate, set_masks
+from .errors import InsufficientData, InvalidFractions, InvalidInput, checked
 from .scores import RapsParams, ScoreKind
 
 __all__ = [
@@ -111,17 +111,23 @@ class TuningResult:
         }
 
 
-def _tuning_parts(cal, spec):
+def _grid_search(cal, alpha, spec, kinds: dict) -> TuningResult:
+    """Calibrate each ``{param: ScoreKind}`` entry on the first split part,
+    measure average set size on the second, and choose the smallest
+    average, ties going to the smallest parameter."""
+    if spec is None:
+        spec = SplitSpec((0.6, 0.4), seed=0)
     if len(spec.fractions) != 2:
         raise InvalidFractions("tuning expects a two-way calibration/tuning split")
     cal_part, tune_part = split(cal, spec)
     if cal_part.n == 0 or tune_part.n == 0:
         raise InsufficientData("a tuning split part is empty")
-    return cal_part, tune_part
-
-
-def _avg_set_size(sets) -> float:
-    return float(np.mean([s.size for s in sets]))
+    table = {}
+    for param, kind in kinds.items():
+        pred = calibrate(cal_part, kind, alpha)
+        table[param] = float(set_masks(tune_part.logits, pred).sum(axis=1).mean())
+    chosen = min(table, key=lambda p: (table[p], p))
+    return TuningResult(chosen=chosen, objective=table[chosen], table=table)
 
 
 def tune_gamma(
@@ -136,20 +142,12 @@ def tune_gamma(
     measures average prediction set size on the second; ties go to the
     smallest gamma (the denser, safer predictor).
     """
-    if spec is None:
-        spec = SplitSpec((0.6, 0.4), seed=0)
-    grid = [float(g) for g in grid]
+    grid = [float(checked(g, float, "gamma grid entry")) for g in grid]
     if not grid:
         raise InvalidInput("gamma grid is empty")
     if any(not 1.0 < g < 2.0 for g in grid):
         raise InvalidInput("every grid gamma must lie strictly inside (1, 2)")
-    cal_part, tune_part = _tuning_parts(cal, spec)
-    table = {}
-    for gamma in grid:
-        pred = calibrate(cal_part, ScoreKind.entmax(gamma), alpha)
-        table[gamma] = _avg_set_size(predict_sets(tune_part.logits, pred))
-    chosen = min(table, key=lambda g: (table[g], g))
-    return TuningResult(chosen=chosen, objective=table[chosen], table=table)
+    return _grid_search(cal, alpha, spec, {g: ScoreKind.entmax(g) for g in grid})
 
 
 def tune_raps(
@@ -165,18 +163,13 @@ def tune_raps(
     lexicographically smallest pair.  The deterministic RAPS variant is
     used throughout so the search itself is reproducible.
     """
-    if spec is None:
-        spec = SplitSpec((0.6, 0.4), seed=0)
-    lambdas = [float(l) for l in lambda_grid]
-    ks = [int(k) for k in k_grid]
+    lambdas = [float(checked(l, float, "lambda grid entry")) for l in lambda_grid]
+    ks = [int(checked(k, int, "k grid entry")) for k in k_grid]
     if not lambdas or not ks:
         raise InvalidInput("RAPS grids must be nonempty")
-    cal_part, tune_part = _tuning_parts(cal, spec)
-    table = {}
-    for lam in lambdas:
-        for k in ks:
-            kind = ScoreKind.raps(RapsParams(lambda_reg=lam, k_reg=k))
-            pred = calibrate(cal_part, kind, alpha)
-            table[(lam, k)] = _avg_set_size(predict_sets(tune_part.logits, pred))
-    chosen = min(table, key=lambda p: (table[p], p))
-    return TuningResult(chosen=chosen, objective=table[chosen], table=table)
+    kinds = {
+        (lam, k): ScoreKind.raps(RapsParams(lambda_reg=lam, k_reg=k))
+        for lam in lambdas
+        for k in ks
+    }
+    return _grid_search(cal, alpha, spec, kinds)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from entconform import PredictionSet
 from entconform.cli import main
 
 from synth import make_task, write_dataset_csv
@@ -49,6 +50,23 @@ class TestTransform:
             ["transform", "--gamma", "1.5"], "a,b\n1,2\n", monkeypatch, capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "stdin_text",
+        [
+            "z0,z1\n1.0,nan\n",
+            "z0,z1\n1.0,2.0\ninf,0.0\n",
+            "label,z0,z1\n7,1.0,2.0\n",
+            "label,z0,z1\nx,1.0,2.0\n",
+            "label,a,b\n0,1.0,2.0\n",
+            "z0,z1\n1.0,2.0,3.0\n",
+        ],
+        ids=["nan", "inf", "label-out-of-range", "label-str", "label-bad-names", "width"],
+    )
+    def test_bad_input_exits_2_before_output(self, monkeypatch, capsys, stdin_text):
+        code, out = self.run(["transform", "--gamma", "1.5"], stdin_text, monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
 
 
 class TestCalibrateEvaluate:
@@ -302,13 +320,18 @@ class TestSweepCommand:
             (("methods",), {"score": "sparsemax"}),
             (("methods",), [5]),
             (("input_path",), 5),
+            (("bins",), 5),
+            (("bins",), [["a", 1]]),
+            (("bins",), [[0]]),
+            (("bins",), [[0, 1.5], [2, 4]]),
         ],
         ids=[
             "gamma-str", "gamma-bool", "k-reg-str", "lambda-list", "randomized-str",
             "rng-seed-real", "foreign-gamma", "tune-str", "tuned-with-gamma",
             "grid-scalar", "grid-str", "name-int", "n-splits-str", "n-splits-bool",
             "alphas-scalar", "alpha-str", "cal-fraction-str", "base-seed-real",
-            "methods-object", "method-int", "input-path-int",
+            "methods-object", "method-int", "input-path-int", "bins-scalar",
+            "bin-edge-str", "bin-single-edge", "bin-edge-real",
         ],
     )
     def test_mistyped_config_exits_2(self, tmp_path, dataset_csv, capsys, path, value):
@@ -331,6 +354,45 @@ class TestSweepCommand:
         code = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_bins_short_of_set_sizes_exit_2(self, tmp_path, dataset_csv, capsys):
+        cfg = {
+            "input_path": dataset_csv,
+            "methods": [{"score": "inv_prob"}],
+            "alphas": [0.05],
+            "n_splits": 1,
+            "bins": [[0, 0]],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "not covered by bins" in capsys.readouterr().err
+
+    def test_no_per_row_set_objects(self, tmp_path, dataset_csv, capsys, monkeypatch):
+        # sweeps, tuning and evaluate keep sets as one bool mask per batch
+        def refuse(cls, mask):
+            raise AssertionError("built a PredictionSet")
+
+        monkeypatch.setattr(PredictionSet, "from_mask", classmethod(refuse))
+        cfg = {
+            "input_path": dataset_csv,
+            "methods": [
+                {"score": "entmax", "gamma": 1.5},
+                {"score": "raps", "lambda_reg": 0.1, "k_reg": 1, "randomized": True},
+                {"score": "entmax", "tune": True, "gamma_grid": [1.3, 1.6]},
+                {"score": "raps", "tune": True, "k_grid": [1, 2], "name": "raps-tuned"},
+            ],
+            "alphas": [0.1, 0.2],
+            "n_splits": 2,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        pred_path = calibrate_entmax(tmp_path, dataset_csv)
+        assert main(["evaluate", "--predictor", str(pred_path), "--input", dataset_csv,
+                     "--out", str(tmp_path / "e.json")]) == 0
+        capsys.readouterr()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

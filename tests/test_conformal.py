@@ -21,6 +21,7 @@ from entconform import (
     predict_set,
     predict_sets,
     score_sparsemax,
+    set_masks,
     support_set_via_entmax,
     support_sets_via_entmax,
 )
@@ -185,6 +186,23 @@ class TestPredictSet:
                     for small, big in zip(sets, sets_prev):
                         assert set(small.labels) <= set(big.labels)
                 q_prev, sets_prev = pred.q_hat, sets
+
+
+    def test_set_masks_rows_are_predict_sets(self):
+        rng = np.random.default_rng(76)
+        data = LabeledLogitDataset(rng.normal(size=(60, 5)), rng.integers(0, 5, 60))
+        test = rng.normal(size=(40, 5))
+        params = RapsParams(lambda_reg=0.1, k_reg=1, randomized=True, rng_seed=4)
+        for kind, alpha in ((ScoreKind.raps(params), 0.2), (ScoreKind.sparsemax(), 0.01)):
+            pred = calibrate(data, kind, alpha)
+            mask = set_masks(test, pred)
+            assert mask.dtype == bool and mask.shape == test.shape
+            assert [PredictionSet.from_mask(row) for row in mask] == predict_sets(test, pred)
+        assert pred.q_hat == math.inf and mask.all()
+        u = np.random.default_rng(params.rng_seed + 1).uniform(size=40)
+        pred = calibrate(data, ScoreKind.raps(params), 0.2)
+        expected = all_label_scores(test, pred.score_kind, u=u) <= pred.q_hat
+        np.testing.assert_array_equal(set_masks(test, pred), expected)
 
 
 class TestSupportSetViaEntmax:

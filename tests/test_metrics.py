@@ -101,6 +101,11 @@ class TestSizeBins:
         with pytest.raises(InvalidInput):
             SizeBins(((0, 3), (2, 5)))
 
+    @pytest.mark.parametrize("edge", [1.5, 1.0, True, "1"])
+    def test_rejects_non_integer_edges(self, edge):
+        with pytest.raises(InvalidInput):
+            SizeBins(((0, edge), (2, 3)))
+
 
 class TestSizeStratifiedCoverage:
     def test_hand_binning(self):
@@ -199,3 +204,58 @@ class TestReport:
         names = [name for name, _ in items]
         assert names == sorted(names)
         assert "singleton_coverage" in names
+
+
+def mask_run(mask, labels, alpha=0.1):
+    return EvaluationRun(sets=mask, labels=labels, alpha=alpha)
+
+
+def sets_of(mask):
+    return tuple(PredictionSet.from_mask(row) for row in mask)
+
+
+class TestMaskRun:
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_mask_and_sets_agree(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            mask = rng.random((n, k)) < rng.random()
+            mask[rng.random(n) < 0.2] = False
+            mask[rng.random(n) < 0.2] = True
+            labels = rng.integers(0, k, size=n)
+            by_mask = mask_run(mask, labels)
+            by_sets = make_run([s.labels for s in sets_of(mask)], labels)
+            np.testing.assert_array_equal(by_mask.sizes, by_sets.sizes)
+            np.testing.assert_array_equal(by_mask.covered, by_sets.covered)
+            assert by_mask.sizes.dtype == np.int64 and by_mask.covered.dtype == bool
+            bins = SizeBins.default(k)
+            assert compute_report(by_mask, bins) == compute_report(by_sets, bins)
+
+    def test_empty_and_full_rows(self):
+        mask = np.array([[False, False], [True, True], [True, False]])
+        run = mask_run(mask, [0, 1, 1])
+        assert run.sizes.tolist() == [0, 2, 1]
+        assert run.covered.tolist() == [False, True, False]
+
+    @pytest.mark.parametrize(
+        "mask, labels",
+        [
+            (np.zeros((2, 3), dtype=np.int64), [0, 1]),
+            (np.zeros(3, dtype=bool), [0, 1, 2]),
+            (np.zeros((2, 3, 1), dtype=bool), [0, 1]),
+            (np.zeros((3, 3), dtype=bool), [0, 1]),
+            (np.zeros((2, 3), dtype=bool), [0, -1]),
+            (np.zeros((2, 3), dtype=bool), [3, 0]),
+        ],
+        ids=["int-mask", "1-d", "3-d", "row-count", "label-negative", "label-k"],
+    )
+    def test_invalid_mask_rejected(self, mask, labels):
+        with pytest.raises(InvalidInput):
+            mask_run(mask, np.asarray(labels))
+
+    def test_bins_short_of_a_set_size(self):
+        mask = np.array([[True, False, False], [True, True, True]])
+        bins = SizeBins(((0, 1), (2, 2)))
+        with pytest.raises(InvalidInput, match="set size 3"):
+            compute_report(mask_run(mask, [0, 1]), bins)

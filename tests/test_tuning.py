@@ -16,6 +16,7 @@ from entconform import (
 from entconform.tuning import DEFAULT_GAMMA_GRID, DEFAULT_K_GRID, DEFAULT_LAMBDA_GRID
 
 from oracles import delta_norm, gap_vector, order_statistic
+from synth import make_task
 
 
 def random_dataset(rng, n=40, k=4):
@@ -237,6 +238,35 @@ class TestTuneRaps:
         assert tune_raps(data, 0.2, spec=spec, k_grid=[1, 2]) == tune_raps(
             data, 0.2, spec=spec, k_grid=[1, 2]
         )
+
+
+class TestGridEntries:
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            {"k_grid": [2.9]},
+            {"k_grid": [True]},
+            {"k_grid": ["2"]},
+            {"lambda_grid": [True]},
+            {"lambda_grid": ["0.1"]},
+        ],
+        ids=["k-real", "k-bool", "k-str", "lambda-bool", "lambda-str"],
+    )
+    def test_raps_rejects_mistyped_entry(self, grids):
+        grids = {"lambda_grid": [0.01], "k_grid": [2], **grids}
+        with pytest.raises(InvalidInput):
+            tune_raps(make_task(200, 5), 0.1, **grids)
+
+    @pytest.mark.parametrize("entry", [True, "1.5"])
+    def test_gamma_rejects_mistyped_entry(self, entry):
+        with pytest.raises(InvalidInput):
+            tune_gamma(make_task(200, 5), 0.1, grid=[1.5, entry])
+
+    def test_numpy_entries_keep_python_keys(self):
+        data = make_task(200, 5)
+        result = tune_raps(data, 0.1, np.array([0.01]), np.array([2]))
+        assert result == tune_raps(data, 0.1, [0.01], [2])
+        assert [type(v) for v in result.chosen] == [float, int]
 
 
 class TestTuningHygiene:
