@@ -15,6 +15,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .activations import EntmaxConfig, entmax
 from .conformal import CalibratedPredictor, calibrate, set_masks
 from .errors import EntconformError, IoError, ValidationError
@@ -55,9 +57,13 @@ def _cmd_transform(args) -> int:
     cfg = EntmaxConfig(gamma=args.gamma)
     if args.beta < 0.0:
         raise ValidationError(f"beta must be nonnegative, got {args.beta}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        Zb = args.beta * logits
+    if not np.all(np.isfinite(Zb)):
+        raise ValidationError(f"beta * logits is not finite for beta = {args.beta}")
     print(",".join(f"p{i}" for i in range(logits.shape[1])))
-    for row in logits:
-        dist = entmax(args.beta * row, cfg)
+    for row in Zb:
+        dist = entmax(row, cfg)
         print(",".join(f"{p:.6f}" for p in dist.probs))
     return 0
 

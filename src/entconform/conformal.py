@@ -17,7 +17,7 @@ the two routes can check each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,16 +108,13 @@ class CalibratedPredictor:
     """A score kind, its calibrated threshold, and the induced temperature.
 
     ``q_hat`` is the ceil((n+1)(1-alpha))-th smallest calibration score,
-    or +inf when that index exceeds n.  ``beta_inv`` (the temperature) is
-    ``(gamma - 1) * q_hat`` for the entmax kind and ``q_hat`` itself for
-    sparsemax; it is None for kinds without a temperature reading.
-    ``num_classes``, when known, is checked against every test batch.
+    or +inf when that index exceeds n.  ``num_classes``, when known, is
+    checked against every test batch.
     """
 
     score_kind: ScoreKind
     alpha: float
     q_hat: float
-    beta_inv: float | None
     calib_n: int
     num_classes: int | None = None
 
@@ -130,6 +127,13 @@ class CalibratedPredictor:
         k = self.num_classes
         if k is not None and checked(k, int, "num_classes") < 2:
             raise InvalidInput(f"num_classes must be at least 2, got {k}")
+
+    @property
+    def beta_inv(self) -> float | None:
+        """The temperature: ``(gamma - 1) * q_hat`` for the entmax kind and
+        ``q_hat`` itself for sparsemax; None for kinds without one."""
+        delta_inv = self.score_kind.delta_inv()
+        return None if delta_inv is None else delta_inv * self.q_hat
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -145,7 +149,7 @@ class CalibratedPredictor:
 
     @classmethod
     def from_json_dict(cls, doc) -> "CalibratedPredictor":
-        """Inverse of :meth:`to_json_dict`; ``beta_inv`` is recomputed, not read."""
+        """Inverse of :meth:`to_json_dict`; ``beta_inv`` is derived, not read."""
         if not isinstance(doc, dict):
             raise InvalidInput(f"a predictor must be a JSON object, got {doc!r}")
         if set(doc) - {"beta_inv"} != _PREDICTOR_KEYS:
@@ -154,17 +158,11 @@ class CalibratedPredictor:
             )
         kind = ScoreKind.from_dict(doc["score_kind"])
         q_hat = math.inf if doc["q_hat"] == "inf" else doc["q_hat"]
-        pred = cls(kind, alpha=doc["alpha"], q_hat=q_hat, beta_inv=None,
+        return cls(kind, alpha=doc["alpha"], q_hat=q_hat,
                    calib_n=doc["calib_n"], num_classes=doc["num_classes"])
-        return replace(pred, beta_inv=_temperature(kind, q_hat))
 
 
 _PREDICTOR_KEYS = {"score_kind", "alpha", "q_hat", "calib_n", "num_classes"}
-
-
-def _temperature(kind: ScoreKind, q_hat: float) -> float | None:
-    delta_inv = kind.delta_inv()
-    return None if delta_inv is None else delta_inv * q_hat
 
 
 def _check_alpha(alpha: float) -> float:
@@ -213,7 +211,6 @@ def calibrate(cal: LabeledLogitDataset, kind: ScoreKind, alpha: float) -> Calibr
         score_kind=kind,
         alpha=alpha,
         q_hat=q_hat,
-        beta_inv=_temperature(kind, q_hat),
         calib_n=cal.n,
         num_classes=cal.num_classes,
     )
@@ -254,21 +251,18 @@ def predict_set(z, pred: CalibratedPredictor, u=None) -> PredictionSet:
     return predict_sets(z[None, :], pred, u=uu)[0]
 
 
-def support_sets_via_entmax(
-    Z,
-    beta: float,
-    gamma: float,
-    *,
-    bisect_tol: float = 1e-16,
-    max_iters: int = 100,
-) -> list[PredictionSet]:
+_SUPPORT_BISECT_TOL = 1e-16
+_SUPPORT_MAX_ITERS = 100
+
+
+def support_sets_via_entmax(Z, beta: float, gamma: float) -> list[PredictionSet]:
     """Supports of ``gamma-entmax(beta * Z)``, row by row.
 
     Computed through the activation (closed form at gamma = 2, bisection
     otherwise), never through the score inequality, so this is an
     independent route to the same sets as :func:`predict_sets` with the
-    matching rank-gap kind and ``q_hat = delta / beta``.  The default
-    solver settings are tighter than :class:`EntmaxConfig`'s because this
+    matching rank-gap kind and ``q_hat = delta / beta``.  The solver
+    settings are tighter than :class:`EntmaxConfig`'s because this
     function exists to adjudicate set membership.
     """
     Z = _as_logit_rows(Z)
@@ -281,21 +275,13 @@ def support_sets_via_entmax(
         probs, _ = _sparsemax_batch(Zb)
         masks = probs > 0.0
     else:
-        _, _, masks = _entmax_bisect_batch(Zb, gamma, bisect_tol, max_iters)
+        _, _, masks = _entmax_bisect_batch(
+            Zb, gamma, _SUPPORT_BISECT_TOL, _SUPPORT_MAX_ITERS
+        )
     return [PredictionSet.from_mask(row) for row in masks]
 
 
-def support_set_via_entmax(
-    z,
-    beta: float,
-    gamma: float,
-    *,
-    bisect_tol: float = 1e-16,
-    max_iters: int = 100,
-) -> PredictionSet:
+def support_set_via_entmax(z, beta: float, gamma: float) -> PredictionSet:
     """Support of ``gamma-entmax(beta * z)`` for a single vector."""
     z = _as_logits(z)
-    sets = support_sets_via_entmax(
-        z[None, :], beta, gamma, bisect_tol=bisect_tol, max_iters=max_iters
-    )
-    return sets[0]
+    return support_sets_via_entmax(z[None, :], beta, gamma)[0]

@@ -33,7 +33,7 @@ from .errors import (
     checked,
 )
 from .metrics import EvaluationRun, MetricsReport, SizeBins, compute_report
-from .scores import RapsParams, ScoreKind
+from .scores import ScoreKind
 from .tuning import (
     DEFAULT_GAMMA_GRID,
     DEFAULT_K_GRID,
@@ -349,22 +349,18 @@ def _resolve_cell(cal, method: MethodSpec, alpha: float, seed: int):
     """Calibrate one method on the calibration part, tuning first if asked.
 
     Tuned methods re-split the calibration part 60/40, choose the
-    parameter on the tuning 40%, and the final predictor is calibrated on
-    the 60% part only; keeping the tuning data out preserves
-    exchangeability with the test part.
+    parameter on the tuning 40%, and keep the grid's predictor for it,
+    calibrated on the 60% part only; keeping the tuning data out
+    preserves exchangeability with the test part.
     """
     if not method.tune:
         return calibrate(cal, method.kind, alpha), None
     tune_spec = SplitSpec((0.6, 0.4), seed=seed)
     if method.score == "entmax":
         result = tune_gamma(cal, alpha, method.gamma_grid, tune_spec)
-        kind = ScoreKind.entmax(result.chosen)
     else:
         result = tune_raps(cal, alpha, method.lambda_grid, method.k_grid, tune_spec)
-        lam, k = result.chosen
-        kind = ScoreKind.raps(RapsParams(lambda_reg=lam, k_reg=int(k)))
-    cal_part = split(cal, tune_spec)[0]
-    return calibrate(cal_part, kind, alpha), result
+    return result.predictor, result
 
 
 def run_experiment(

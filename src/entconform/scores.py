@@ -248,8 +248,8 @@ def score_raps(z, y: int, params: RapsParams, u: float = 1.0) -> float:
 
 # ---------------------------------------------------------------------------
 # Vectorized scoring.  One stable descending sort per instance is shared by
-# every label's score: gap sums come from prefix sums (delta = 1) or from a
-# triangular gap matrix (general delta), so a full K-label score row costs
+# every label's score: gap sums come from a running sum (delta = 1) or from a
+# masked gap matrix (general delta), so a full K-label score row costs
 # O(K) or O(K^2) after the O(K log K) sort.
 # ---------------------------------------------------------------------------
 
@@ -266,9 +266,13 @@ def _sorted_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _sparsemax_all_sorted(zs: np.ndarray) -> np.ndarray:
-    csum = np.cumsum(zs, axis=1)
-    prefix = csum - zs
-    return prefix - np.arange(zs.shape[1]) * zs
+    """Gap sums as a running sum of nonnegative steps: rank r+1 adds
+    ``(r+1) * (z_(r) - z_(r+1))`` to rank r's sum, so a sorted score row
+    never decreases and large common offsets cancel before summing."""
+    out = np.zeros_like(zs)
+    steps = np.arange(1, zs.shape[1]) * (zs[:, :-1] - zs[:, 1:])
+    out[:, 1:] = np.cumsum(steps, axis=1)
+    return out
 
 
 def _gap_norm(gaps: np.ndarray, delta: float) -> np.ndarray:
@@ -281,15 +285,22 @@ def _gap_norm(gaps: np.ndarray, delta: float) -> np.ndarray:
     return top * np.power(np.power(ratios, delta).sum(axis=-1), 1.0 / delta)
 
 
+def _entmax_at(zs: np.ndarray, r: np.ndarray, delta: float) -> np.ndarray:
+    """delta-norm of the gaps above the 0-based ranks ``r`` (shape (n, m) or
+    (1, m)) in the sorted rows ``zs`` (n, K); returns shape (n, m).  Every
+    gap vector has length K, zero past its rank, so both routes sum alike."""
+    zr = np.take_along_axis(zs, r, axis=1)
+    above = np.arange(zs.shape[1]) < r[..., None]
+    return _gap_norm(np.where(above, zs[:, None, :] - zr[..., None], 0.0), delta)
+
+
 def _entmax_all_sorted(zs: np.ndarray, delta: float) -> np.ndarray:
     out = np.empty_like(zs)
     k = zs.shape[1]
     block = max(1, _CHUNK_CELLS // (k * k))
-    tri = np.tril(np.ones((k, k), dtype=bool), k=-1)  # [r, j]: j ranked above r
+    ranks = np.arange(k)[None, :]
     for start in range(0, zs.shape[0], block):
-        rows = zs[start : start + block]
-        gaps = np.where(tri, rows[:, None, :] - rows[:, :, None], 0.0)
-        out[start : start + block] = _gap_norm(gaps, delta)
+        out[start : start + block] = _entmax_at(zs[start : start + block], ranks, delta)
     return out
 
 
@@ -347,8 +358,10 @@ def all_label_scores(Z, kind: ScoreKind, u=None) -> np.ndarray:
 def true_label_scores(Z, labels, kind: ScoreKind, u=None) -> np.ndarray:
     """Score of each instance at its own label; shape (n,).
 
-    Avoids the O(K^2) all-label path for the general-gamma kinds by
-    norming only each instance's own gap vector.
+    Every kind reads its scores off :func:`all_label_scores`, so
+    calibration and the prediction sets share one arithmetic; the
+    general-gamma kind norms only each instance's own gap vector, with the
+    same kernel, to avoid the O(K^2) all-label cost.
     """
     Z = _as_logit_rows(Z)
     labels = np.asarray(labels)
@@ -357,19 +370,8 @@ def true_label_scores(Z, labels, kind: ScoreKind, u=None) -> np.ndarray:
     if np.any(labels < 0) or np.any(labels >= Z.shape[1]):
         raise LabelOutOfRange("label index outside the class range")
     rows = np.arange(Z.shape[0])
-
-    if kind.variant == "raps":
-        return _raps_all(Z, kind.raps_params, _resolve_u(Z.shape[0], u))[rows, labels]
-    if kind.variant == "inv_prob":
-        return 1.0 - _softmax_rows(Z)[rows, labels]
-
+    if kind.variant != "entmax":
+        return all_label_scores(Z, kind, u)[rows, labels]
     _, zs, ranks = _sorted_rows(Z)
-    ry = ranks[rows, labels]
-    zy = Z[rows, labels]
-    if kind.variant == "log_margin":
-        return zs[:, 0] - zy
-    above = np.arange(Z.shape[1]) < ry[:, None]
-    gaps = np.where(above, zs - zy[:, None], 0.0)
-    if kind.variant == "sparsemax":
-        return gaps.sum(axis=1)
-    return _gap_norm(gaps, 1.0 / (kind.gamma - 1.0))
+    ry = ranks[rows, labels][:, None]
+    return _entmax_at(zs, ry, 1.0 / (kind.gamma - 1.0))[:, 0]

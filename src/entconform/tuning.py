@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .conformal import LabeledLogitDataset, calibrate, set_masks
+from .conformal import CalibratedPredictor, LabeledLogitDataset, calibrate, set_masks
 from .errors import InsufficientData, InvalidFractions, InvalidInput, checked
 from .scores import RapsParams, ScoreKind
 
@@ -89,16 +89,20 @@ Parameter = Union[float, tuple[float, int]]
 
 @dataclass(frozen=True)
 class TuningResult:
-    """Chosen parameter, its objective, and the full grid table.
+    """Chosen parameter, its objective, the full grid table, and the
+    predictor calibrated at the chosen parameter.
 
     ``table`` maps each evaluated parameter to the average prediction set
     size it achieved on the tuning part; ``chosen`` attains the minimum,
-    with ties broken toward the smallest parameter.
+    with ties broken toward the smallest parameter.  ``predictor`` is the
+    grid's own calibration of ``chosen`` on the calibration part, so it
+    never saw the tuning part.
     """
 
     chosen: Parameter
     objective: float
     table: dict
+    predictor: CalibratedPredictor
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,12 +126,14 @@ def _grid_search(cal, alpha, spec, kinds: dict) -> TuningResult:
     cal_part, tune_part = split(cal, spec)
     if cal_part.n == 0 or tune_part.n == 0:
         raise InsufficientData("a tuning split part is empty")
-    table = {}
+    table, preds = {}, {}
     for param, kind in kinds.items():
-        pred = calibrate(cal_part, kind, alpha)
-        table[param] = float(set_masks(tune_part.logits, pred).sum(axis=1).mean())
+        preds[param] = calibrate(cal_part, kind, alpha)
+        table[param] = float(set_masks(tune_part.logits, preds[param]).sum(axis=1).mean())
     chosen = min(table, key=lambda p: (table[p], p))
-    return TuningResult(chosen=chosen, objective=table[chosen], table=table)
+    return TuningResult(
+        chosen=chosen, objective=table[chosen], table=table, predictor=preds[chosen]
+    )
 
 
 def tune_gamma(

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import pytest
 
@@ -52,19 +53,28 @@ class TestTransform:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "stdin_text",
+        "stdin_text, beta",
         [
-            "z0,z1\n1.0,nan\n",
-            "z0,z1\n1.0,2.0\ninf,0.0\n",
-            "label,z0,z1\n7,1.0,2.0\n",
-            "label,z0,z1\nx,1.0,2.0\n",
-            "label,a,b\n0,1.0,2.0\n",
-            "z0,z1\n1.0,2.0,3.0\n",
+            ("z0,z1\n1.0,nan\n", "1.0"),
+            ("z0,z1\n1.0,2.0\ninf,0.0\n", "1.0"),
+            ("label,z0,z1\n7,1.0,2.0\n", "1.0"),
+            ("label,z0,z1\nx,1.0,2.0\n", "1.0"),
+            ("label,a,b\n0,1.0,2.0\n", "1.0"),
+            ("z0,z1\n1.0,2.0,3.0\n", "1.0"),
+            # finite rows that overflow once scaled by beta
+            ("z0,z1\n10,1\n", "1e308"),
         ],
-        ids=["nan", "inf", "label-out-of-range", "label-str", "label-bad-names", "width"],
+        ids=[
+            "nan", "inf", "label-out-of-range", "label-str", "label-bad-names", "width",
+            "beta-overflow",
+        ],
     )
-    def test_bad_input_exits_2_before_output(self, monkeypatch, capsys, stdin_text):
-        code, out = self.run(["transform", "--gamma", "1.5"], stdin_text, monkeypatch, capsys)
+    def test_bad_input_exits_2_before_output(self, monkeypatch, capsys, stdin_text, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = self.run(
+                ["transform", "--gamma", "1.5", "--beta", beta], stdin_text, monkeypatch, capsys
+            )
         assert code == 2
         assert out == ""
 

@@ -24,6 +24,7 @@ from entconform import (
     set_masks,
     support_set_via_entmax,
     support_sets_via_entmax,
+    true_label_scores,
 )
 
 from oracles import order_statistic
@@ -129,14 +130,14 @@ class TestCalibrate:
 class TestPredictSet:
     def test_zero_threshold_gives_argmax_singleton(self):
         pred = CalibratedPredictor(
-            ScoreKind.sparsemax(), alpha=0.5, q_hat=0.0, beta_inv=0.0, calib_n=4
+            ScoreKind.sparsemax(), alpha=0.5, q_hat=0.0, calib_n=4
         )
         assert predict_set(Z5, pred).labels == (0,)
 
     def test_worked_threshold(self):
         # scores per label: 0, 4.7, 1.8, 0.6, 2.7 -> only 0 and 3 pass 0.7
         pred = CalibratedPredictor(
-            ScoreKind.sparsemax(), alpha=0.5, q_hat=0.7, beta_inv=0.7, calib_n=4
+            ScoreKind.sparsemax(), alpha=0.5, q_hat=0.7, calib_n=4
         )
         assert predict_set(Z5, pred).labels == (0, 3)
         # cross-check: the sparsemax support at beta = 1/0.7 is the same set
@@ -164,7 +165,7 @@ class TestPredictSet:
             previous = None
             for q in (0.0, 0.3, 1.0, 2.5, 10.0):
                 pred = CalibratedPredictor(
-                    ScoreKind.entmax(1.5), alpha=0.5, q_hat=q, beta_inv=0.5 * q, calib_n=9
+                    ScoreKind.entmax(1.5), alpha=0.5, q_hat=q, calib_n=9
                 )
                 labels = set(predict_set(z, pred).labels)
                 if previous is not None:
@@ -281,9 +282,7 @@ class TestTieSemantics:
         delta = 1.0 / (gamma - 1.0)
         q_hat = 2.0
         assert all_label_scores(z[None, :], kind)[0, 1] == q_hat
-        pred = CalibratedPredictor(
-            kind, alpha=0.1, q_hat=q_hat, beta_inv=q_hat / delta, calib_n=10
-        )
+        pred = CalibratedPredictor(kind, alpha=0.1, q_hat=q_hat, calib_n=10)
         assert predict_set(z, pred).labels == (0, 1)
         assert support_set_via_entmax(z, delta / q_hat, gamma).labels == (0,)
 
@@ -292,7 +291,7 @@ class TestTieSemantics:
         for kind in (ScoreKind.sparsemax(), ScoreKind.entmax(1.5), ScoreKind.log_margin()):
             s = all_label_scores(z, kind)[0]
             assert s[1] == s[2]
-            pred = CalibratedPredictor(kind, alpha=0.1, q_hat=s[1], beta_inv=None, calib_n=10)
+            pred = CalibratedPredictor(kind, alpha=0.1, q_hat=s[1], calib_n=10)
             assert predict_set(z[0], pred).labels == (0, 1, 2)
 
     def test_raps_breaks_ties_lower_index_first(self):
@@ -302,8 +301,40 @@ class TestTieSemantics:
         kind = ScoreKind.raps(RapsParams(lambda_reg=0.0, k_reg=1))
         s = all_label_scores(z, kind)[0]
         assert s[1] < s[2]
-        pred = CalibratedPredictor(kind, alpha=0.1, q_hat=s[1], beta_inv=None, calib_n=10)
+        pred = CalibratedPredictor(kind, alpha=0.1, q_hat=s[1], calib_n=10)
         assert predict_set(z[0], pred).labels == (0, 1)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            ScoreKind.sparsemax(),
+            ScoreKind.entmax(1.5),
+            ScoreKind.log_margin(),
+            ScoreKind.inv_prob(),
+            ScoreKind.raps(RapsParams(lambda_reg=0.01, k_reg=2)),
+            ScoreKind.raps(RapsParams(lambda_reg=0.01, k_reg=2, randomized=True, rng_seed=3)),
+        ],
+        ids=["sparsemax", "entmax", "log_margin", "inv_prob", "raps", "raps-randomized"],
+    )
+    def test_calibration_rows_fed_back_keep_their_labels(self, kind):
+        # a calibration row is a test row like any other: the row whose score
+        # is q_hat, and every row below it, must be covered by its own set
+        rng = np.random.default_rng(77)
+        draws = [
+            lambda k: rng.normal(size=(80, k)) * 3.0,
+            lambda k: rng.integers(-20, 21, size=(80, k)) * 0.1,  # tie-heavy
+            lambda k: rng.normal(size=(80, k)) + 1e6,
+        ]
+        for trial in range(12):
+            k = (10, 60, 150, 40)[trial % 4]
+            cal = LabeledLogitDataset(draws[trial % 3](k), rng.integers(0, k, 80))
+            pred = calibrate(cal, kind, 0.2)
+            u = None
+            if kind.variant == "raps" and kind.raps_params.randomized:
+                u = np.random.default_rng(kind.raps_params.rng_seed).uniform(size=cal.n)
+            s = true_label_scores(cal.logits, cal.labels, kind, u=u)
+            covered = set_masks(cal.logits, pred, u=u)[np.arange(cal.n), cal.labels]
+            np.testing.assert_array_equal(covered, s <= pred.q_hat)
 
 
 class TestSerialization:

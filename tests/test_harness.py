@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import entconform.harness as harness_mod
+import entconform.tuning as tuning_mod
 from entconform import (
     EmptyCalibration,
     ExperimentConfig,
@@ -196,6 +197,29 @@ class TestRunExperiment:
         assert chosen in (1.3, 1.7)
         raps_cell = doc["per_split"]["raps"]["0.2"][0]["tuning"]
         assert raps_cell["chosen"][0] == 0.01
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            {"score": "entmax", "tune": True, "gamma_grid": [1.3, 1.7]},
+            {"score": "raps", "tune": True, "lambda_grid": [0.01], "k_grid": [1, 2]},
+        ],
+        ids=["entmax", "raps"],
+    )
+    def test_tuned_cell_splits_once_for_tuning(self, tmp_path, monkeypatch, method):
+        # one split for cal/test and one inside the grid search; the grid's
+        # predictor is reused, so no second tuning split is made
+        calls = []
+
+        def counted(data, spec):
+            calls.append(spec)
+            return split(data, spec)
+
+        cfg = tiny_experiment(tmp_path, n=300, methods=(method,), alphas=(0.2,), n_splits=1)
+        monkeypatch.setattr(harness_mod, "split", counted)
+        monkeypatch.setattr(tuning_mod, "split", counted)
+        run_experiment(cfg)
+        assert len(calls) == 2
 
     def test_avg_size_non_increasing_in_alpha(self, tmp_path):
         alphas = tuple(round(0.02 * i, 2) for i in range(1, 8))

@@ -269,13 +269,20 @@ class TestVectorizedAgainstScalar:
                     )
 
     def test_true_label_scores(self):
+        # calibration and the prediction sets must score a label identically
         rng = np.random.default_rng(52)
-        Z = rng.uniform(-5.0, 5.0, size=(60, 7))
-        labels = rng.integers(0, 7, size=60)
-        for kind in ALL_KINDS:
-            got = true_label_scores(Z, labels, kind)
-            want = all_label_scores(Z, kind)[np.arange(60), labels]
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        inputs = [
+            rng.uniform(-5.0, 5.0, size=(60, 7)),
+            rng.integers(-2, 3, size=(60, 40)).astype(float),  # tie-heavy
+            rng.normal(size=(60, 40)) + 1e6,
+        ]
+        for Z in inputs:
+            labels = rng.integers(0, Z.shape[1], size=60)
+            u = rng.uniform(size=60)
+            for kind in ALL_KINDS:
+                got = true_label_scores(Z, labels, kind, u=u)
+                want = all_label_scores(Z, kind, u=u)[np.arange(60), labels]
+                np.testing.assert_array_equal(got, want)
 
     def test_chunked_entmax_path(self):
         # force several row blocks through the O(K^2) gap-norm code
@@ -294,6 +301,23 @@ class TestVectorizedAgainstScalar:
 
 
 class TestFamilyProperties:
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
+    def test_sparsemax_sorted_row_nonnegative_and_nondecreasing(self, offset):
+        # exact, with no tolerance: the running sum of nonnegative steps
+        # neither dips below 0 nor decreases, even where offsets cancel
+        rng = np.random.default_rng(60)
+        for k in (10, 100, 300):
+            Z = np.concatenate(
+                [
+                    rng.integers(-20, 21, size=(50, k)) * 0.1,  # tie-heavy decimals
+                    rng.normal(size=(50, k)),
+                ]
+            ) + offset
+            order = np.argsort(-Z, axis=1, kind="stable")
+            ranked = np.take_along_axis(all_label_scores(Z, ScoreKind.sparsemax()), order, axis=1)
+            assert np.all(ranked >= 0.0)
+            assert np.all(np.diff(ranked, axis=1) >= 0.0)
+
     def test_rank_monotonicity(self):
         rng = np.random.default_rng(61)
         kinds = [ScoreKind.sparsemax(), ScoreKind.entmax(1.3), ScoreKind.log_margin()]

@@ -8,7 +8,10 @@ from entconform import (
     InvalidFractions,
     InvalidInput,
     LabeledLogitDataset,
+    RapsParams,
+    ScoreKind,
     SplitSpec,
+    calibrate,
     split,
     tune_gamma,
     tune_raps,
@@ -267,6 +270,25 @@ class TestGridEntries:
         result = tune_raps(data, 0.1, np.array([0.01]), np.array([2]))
         assert result == tune_raps(data, 0.1, [0.01], [2])
         assert [type(v) for v in result.chosen] == [float, int]
+
+
+class TestChosenPredictor:
+    """The grid's calibration at the chosen parameter is the final predictor."""
+
+    def test_tune_gamma_predictor(self):
+        data = make_task(300, 8, seed=4)
+        spec = SplitSpec((0.6, 0.4), seed=5)
+        result = tune_gamma(data, 0.1, grid=[1.2, 1.5, 1.8], spec=spec)
+        want = calibrate(split(data, spec)[0], ScoreKind.entmax(result.chosen), 0.1)
+        assert result.predictor == want
+
+    def test_tune_raps_predictor(self):
+        data = make_task(300, 8, seed=6)
+        spec = SplitSpec((0.6, 0.4), seed=7)
+        result = tune_raps(data, 0.1, lambda_grid=[0.01, 0.1], k_grid=[1, 3], spec=spec)
+        lam, k = result.chosen
+        kind = ScoreKind.raps(RapsParams(lambda_reg=lam, k_reg=k))
+        assert result.predictor == calibrate(split(data, spec)[0], kind, 0.1)
 
 
 class TestTuningHygiene:
