@@ -80,12 +80,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_evaluate(args) -> int:
     pred = CalibratedPredictor.from_json_dict(read_json_object(args.predictor))
     data = load_dataset(args.input)
-    run = EvaluationRun(
-        sets=set_masks(data.logits, pred),
-        labels=data.labels,
-        alpha=pred.alpha,
-        method_name=pred.score_kind.variant,
-    )
+    run = EvaluationRun(sets=set_masks(data.logits, pred), labels=data.labels, alpha=pred.alpha)
     report = compute_report(run, SizeBins.default(data.num_classes))
     doc = {
         "method": pred.score_kind.variant,

@@ -108,15 +108,15 @@ class CalibratedPredictor:
     """A score kind, its calibrated threshold, and the induced temperature.
 
     ``q_hat`` is the ceil((n+1)(1-alpha))-th smallest calibration score,
-    or +inf when that index exceeds n.  ``num_classes``, when known, is
-    checked against every test batch.
+    or +inf when that index exceeds n.  ``num_classes`` is checked against
+    every test batch.
     """
 
     score_kind: ScoreKind
     alpha: float
     q_hat: float
     calib_n: int
-    num_classes: int | None = None
+    num_classes: int
 
     def __post_init__(self):
         _check_alpha(checked(self.alpha, float, "alpha"))
@@ -124,9 +124,8 @@ class CalibratedPredictor:
             raise InvalidInput(f"q_hat must be nonnegative or inf, got {self.q_hat}")
         if checked(self.calib_n, int, "calib_n") < 1:
             raise InvalidInput(f"calib_n must be positive, got {self.calib_n}")
-        k = self.num_classes
-        if k is not None and checked(k, int, "num_classes") < 2:
-            raise InvalidInput(f"num_classes must be at least 2, got {k}")
+        if checked(self.num_classes, int, "num_classes") < 2:
+            raise InvalidInput(f"num_classes must be at least 2, got {self.num_classes}")
 
     @property
     def beta_inv(self) -> float | None:
@@ -227,7 +226,7 @@ def set_masks(Z, pred: CalibratedPredictor, u=None) -> np.ndarray:
     calibration draws, and deterministic.
     """
     Z = _as_logit_rows(Z)
-    if pred.num_classes is not None and Z.shape[1] != pred.num_classes:
+    if Z.shape[1] != pred.num_classes:
         raise DimensionMismatch(
             f"predictor was calibrated with K={pred.num_classes}, got {Z.shape[1]}"
         )
@@ -244,15 +243,13 @@ def predict_sets(Z, pred: CalibratedPredictor, u=None) -> list[PredictionSet]:
     return [PredictionSet.from_mask(row) for row in set_masks(Z, pred, u)]
 
 
-def predict_set(z, pred: CalibratedPredictor, u=None) -> PredictionSet:
+def predict_set(z, pred: CalibratedPredictor) -> PredictionSet:
     """Prediction set for a single test score vector."""
     z = _as_logits(z)
-    uu = None if u is None else np.asarray([u], dtype=np.float64)
-    return predict_sets(z[None, :], pred, u=uu)[0]
+    return predict_sets(z[None, :], pred)[0]
 
 
 _SUPPORT_BISECT_TOL = 1e-16
-_SUPPORT_MAX_ITERS = 100
 
 
 def support_sets_via_entmax(Z, beta: float, gamma: float) -> list[PredictionSet]:
@@ -261,9 +258,9 @@ def support_sets_via_entmax(Z, beta: float, gamma: float) -> list[PredictionSet]
     Computed through the activation (closed form at gamma = 2, bisection
     otherwise), never through the score inequality, so this is an
     independent route to the same sets as :func:`predict_sets` with the
-    matching rank-gap kind and ``q_hat = delta / beta``.  The solver
-    settings are tighter than :class:`EntmaxConfig`'s because this
-    function exists to adjudicate set membership.
+    matching rank-gap kind and ``q_hat = delta / beta``.  The bisection
+    tolerance is tighter than :func:`entconform.activations.entmax`'s
+    because this function exists to adjudicate set membership.
     """
     Z = _as_logit_rows(Z)
     if not np.isfinite(beta) or beta <= 0.0:
@@ -275,9 +272,7 @@ def support_sets_via_entmax(Z, beta: float, gamma: float) -> list[PredictionSet]
         probs, _ = _sparsemax_batch(Zb)
         masks = probs > 0.0
     else:
-        _, _, masks = _entmax_bisect_batch(
-            Zb, gamma, _SUPPORT_BISECT_TOL, _SUPPORT_MAX_ITERS
-        )
+        _, _, masks = _entmax_bisect_batch(Zb, gamma, _SUPPORT_BISECT_TOL)
     return [PredictionSet.from_mask(row) for row in masks]
 
 

@@ -132,6 +132,8 @@ def read_json_object(path: str) -> dict:
 
 
 _GRID_TYPES = {"gamma_grid": float, "lambda_grid": float, "k_grid": int}
+# The grids each tunable score searches; no other method takes a grid.
+_GRIDS = {"entmax": ("gamma_grid",), "raps": ("lambda_grid", "k_grid")}
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,8 @@ class MethodSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "MethodSpec":
         """Method options (name, tune, grids) plus a score kind's fields,
-        of which a tuned method gives only ``score``."""
+        of which a tuned method gives only ``score``.  Only a tuned method
+        takes grids, and only those its score searches."""
         if not isinstance(doc, dict):
             raise InvalidInput(f"a method entry must be a JSON object, got {doc!r}")
         if "score" not in doc:
@@ -186,16 +189,21 @@ class MethodSpec:
                 raise InvalidInput(
                     f"a tuned method takes no {sorted(set(kind_doc) - {'score'})}"
                 )
-            return cls(score=doc["score"], **options)
-        kind = ScoreKind.from_dict(kind_doc)
-        return cls(score=kind.variant, kind=kind, **options)
+            method = cls(score=doc["score"], **options)
+        else:
+            kind = ScoreKind.from_dict(kind_doc)
+            method = cls(score=kind.variant, kind=kind, **options)
+        searched = _GRIDS[method.score] if method.tune else ()
+        stray = sorted(set(options) & set(_GRID_TYPES) - set(searched))
+        if stray:
+            raise InvalidInput(f"method {method.name!r} does not search {stray}")
+        return method
 
     def to_dict(self) -> dict:
         if not self.tune:
             return {**self.kind.to_dict(), "name": self.name}
-        grids = ("gamma_grid",) if self.score == "entmax" else ("lambda_grid", "k_grid")
         doc = {"score": self.score, "name": self.name, "tune": True}
-        return {**doc, **{key: list(getattr(self, key)) for key in grids}}
+        return {**doc, **{key: list(getattr(self, key)) for key in _GRIDS[self.score]}}
 
 
 @dataclass(frozen=True)
@@ -348,32 +356,28 @@ def _alpha_key(alpha: float) -> str:
 def _resolve_cell(cal, method: MethodSpec, alpha: float, seed: int):
     """Calibrate one method on the calibration part, tuning first if asked.
 
-    Tuned methods re-split the calibration part 60/40, choose the
-    parameter on the tuning 40%, and keep the grid's predictor for it,
-    calibrated on the 60% part only; keeping the tuning data out
+    Tuned methods re-split the calibration part with ``seed``, choose the
+    parameter on the tuning part, and keep the grid's predictor for it,
+    calibrated on the other part only; keeping the tuning data out
     preserves exchangeability with the test part.
     """
     if not method.tune:
         return calibrate(cal, method.kind, alpha), None
-    tune_spec = SplitSpec((0.6, 0.4), seed=seed)
     if method.score == "entmax":
-        result = tune_gamma(cal, alpha, method.gamma_grid, tune_spec)
+        result = tune_gamma(cal, alpha, method.gamma_grid, seed)
     else:
-        result = tune_raps(cal, alpha, method.lambda_grid, method.k_grid, tune_spec)
+        result = tune_raps(cal, alpha, method.lambda_grid, method.k_grid, seed)
     return result.predictor, result
 
 
-def run_experiment(
-    cfg: ExperimentConfig, data: Optional[LabeledLogitDataset] = None
-) -> ExperimentReport:
-    """Run every (method, alpha) over ``n_splits`` seeded splits.
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Run every (method, alpha) over ``n_splits`` seeded splits of the
+    dataset at ``cfg.input_path``.
 
     Split ``s`` uses seed ``base_seed + s`` for its calibration/test
-    shuffle (and for any tuning sub-split).  ``data`` overrides loading
-    from ``cfg.input_path``, for callers that already hold the dataset.
+    shuffle (and for any tuning sub-split).
     """
-    if data is None:
-        data = load_dataset(cfg.input_path)
+    data = load_dataset(cfg.input_path)
     bins = cfg.bins if cfg.bins is not None else SizeBins.default(data.num_classes)
     seeds = tuple(cfg.base_seed + s for s in range(cfg.n_splits))
     cells: dict = {m.name: {alpha: [] for alpha in cfg.alphas} for m in cfg.methods}
@@ -384,10 +388,7 @@ def run_experiment(
             for alpha in cfg.alphas:
                 pred, tuning = _resolve_cell(cal, method, alpha, seed)
                 run = EvaluationRun(
-                    sets=set_masks(test.logits, pred),
-                    labels=test.labels,
-                    alpha=alpha,
-                    method_name=method.name,
+                    sets=set_masks(test.logits, pred), labels=test.labels, alpha=alpha
                 )
                 cells[method.name][alpha].append(
                     Cell(report=compute_report(run, bins), tuning=tuning)

@@ -79,7 +79,6 @@ class EvaluationRun:
     sets: Union[np.ndarray, Sequence[PredictionSet]]
     labels: np.ndarray
     alpha: float
-    method_name: str = ""
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
     covered: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -177,11 +176,11 @@ def size_stratified_coverage(run: EvaluationRun, bins: SizeBins) -> list[BinStat
 
 def sscv(run: EvaluationRun, bins: SizeBins) -> float:
     """Worst deviation of any nonempty bin's coverage from 1 - alpha."""
-    stats = size_stratified_coverage(run, bins)
-    deviations = [
-        abs(s.coverage - (1.0 - run.alpha)) for s in stats if s.coverage is not None
-    ]
-    return max(deviations)
+    return _worst_deviation(size_stratified_coverage(run, bins), run.alpha)
+
+
+def _worst_deviation(stats: list[BinStat], alpha: float) -> float:
+    return max(abs(s.coverage - (1.0 - alpha)) for s in stats if s.coverage is not None)
 
 
 @dataclass(frozen=True)
@@ -232,11 +231,12 @@ class MetricsReport:
 def compute_report(run: EvaluationRun, bins: SizeBins) -> MetricsReport:
     """Evaluate every metric over one run."""
     ratio, singleton_cov = singleton_stats(run)
+    stratified = size_stratified_coverage(run, bins)
     return MetricsReport(
         coverage=empirical_coverage(run),
         avg_set_size=avg_set_size(run),
         singleton_ratio=ratio,
         singleton_coverage=singleton_cov,
-        stratified=tuple(size_stratified_coverage(run, bins)),
-        sscv=sscv(run, bins),
+        stratified=tuple(stratified),
+        sscv=_worst_deviation(stratified, run.alpha),
     )

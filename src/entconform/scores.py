@@ -256,7 +256,7 @@ def score_raps(z, y: int, params: RapsParams, u: float = 1.0) -> float:
 
 def _sorted_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared sort: returns (order, sorted rows, rank position per label)."""
-    order = descending_order(Z, axis=1)
+    order = descending_order(Z)
     zs = np.take_along_axis(Z, order, axis=1)
     ranks = np.empty_like(order)
     np.put_along_axis(
@@ -309,20 +309,17 @@ def _softmax_rows(Z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _raps_all(Z: np.ndarray, params: RapsParams, u: np.ndarray) -> np.ndarray:
+def _raps_sorted(Z: np.ndarray, order: np.ndarray, params: RapsParams, u) -> np.ndarray:
     if params.k_reg > Z.shape[1]:
         raise InvalidInput(
             f"k_reg = {params.k_reg} exceeds the number of classes {Z.shape[1]}"
         )
-    order, _, ranks = _sorted_rows(Z)
-    probs = _softmax_rows(Z)
-    ps = np.take_along_axis(probs, order, axis=1)
+    ps = np.take_along_axis(_softmax_rows(Z), order, axis=1)
     csum = np.cumsum(ps, axis=1)
     penalty = params.lambda_reg * np.maximum(
         0.0, np.arange(1, Z.shape[1] + 1) - params.k_reg
     )
-    s_sorted = (csum - ps) + np.asarray(u).reshape(-1, 1) * ps + penalty
-    return np.take_along_axis(s_sorted, ranks, axis=1)
+    return (csum - ps) + _resolve_u(Z.shape[0], u).reshape(-1, 1) * ps + penalty
 
 
 def _resolve_u(n: int, u) -> np.ndarray:
@@ -334,6 +331,21 @@ def _resolve_u(n: int, u) -> np.ndarray:
     return arr
 
 
+def _rank_order_scores(Z: np.ndarray, kind: ScoreKind, u) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, ranks)`` for every kind but inv-prob: ``s[i, r]`` is the score
+    of row i's label at 0-based rank r, ``ranks[i, y]`` the rank of label y."""
+    order, zs, ranks = _sorted_rows(Z)
+    if kind.variant == "raps":
+        s = _raps_sorted(Z, order, kind.raps_params, u)
+    elif kind.variant == "sparsemax":
+        s = _sparsemax_all_sorted(zs)
+    elif kind.variant == "log_margin":
+        s = zs[:, :1] - zs
+    else:
+        s = _entmax_all_sorted(zs, 1.0 / (kind.gamma - 1.0))
+    return s, ranks
+
+
 def all_label_scores(Z, kind: ScoreKind, u=None) -> np.ndarray:
     """Score of every (instance, label) pair; shape (n, K).
 
@@ -341,27 +353,20 @@ def all_label_scores(Z, kind: ScoreKind, u=None) -> np.ndarray:
     randomization weights (default 1, the deterministic variant).
     """
     Z = _as_logit_rows(Z)
-    if kind.variant == "raps":
-        return _raps_all(Z, kind.raps_params, _resolve_u(Z.shape[0], u))
     if kind.variant == "inv_prob":
         return 1.0 - _softmax_rows(Z)
-    _, zs, ranks = _sorted_rows(Z)
-    if kind.variant == "sparsemax":
-        s_sorted = _sparsemax_all_sorted(zs)
-    elif kind.variant == "log_margin":
-        s_sorted = zs[:, :1] - zs
-    else:
-        s_sorted = _entmax_all_sorted(zs, 1.0 / (kind.gamma - 1.0))
-    return np.take_along_axis(s_sorted, ranks, axis=1)
+    s, ranks = _rank_order_scores(Z, kind, u)
+    return np.take_along_axis(s, ranks, axis=1)
 
 
 def true_label_scores(Z, labels, kind: ScoreKind, u=None) -> np.ndarray:
     """Score of each instance at its own label; shape (n,).
 
-    Every kind reads its scores off :func:`all_label_scores`, so
-    calibration and the prediction sets share one arithmetic; the
-    general-gamma kind norms only each instance's own gap vector, with the
-    same kernel, to avoid the O(K^2) all-label cost.
+    Each instance's entry is read from the same arithmetic as
+    :func:`all_label_scores`, so calibration and the prediction sets agree
+    bit for bit: in rank order, before the un-sort, or for the
+    general-gamma kind by norming only the instance's own gap vector with
+    the same kernel, which avoids the O(K^2) all-label cost.
     """
     Z = _as_logit_rows(Z)
     labels = np.asarray(labels)
@@ -370,8 +375,11 @@ def true_label_scores(Z, labels, kind: ScoreKind, u=None) -> np.ndarray:
     if np.any(labels < 0) or np.any(labels >= Z.shape[1]):
         raise LabelOutOfRange("label index outside the class range")
     rows = np.arange(Z.shape[0])
-    if kind.variant != "entmax":
-        return all_label_scores(Z, kind, u)[rows, labels]
-    _, zs, ranks = _sorted_rows(Z)
-    ry = ranks[rows, labels][:, None]
-    return _entmax_at(zs, ry, 1.0 / (kind.gamma - 1.0))[:, 0]
+    if kind.variant == "inv_prob":
+        return 1.0 - _softmax_rows(Z)[rows, labels]
+    if kind.variant == "entmax":
+        _, zs, ranks = _sorted_rows(Z)
+        ry = ranks[rows, labels][:, None]
+        return _entmax_at(zs, ry, 1.0 / (kind.gamma - 1.0))[:, 0]
+    s, ranks = _rank_order_scores(Z, kind, u)
+    return s[rows, ranks[rows, labels]]

@@ -34,6 +34,9 @@ __all__ = [
 DEFAULT_GAMMA_GRID = (1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9)
 DEFAULT_LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0)
 DEFAULT_K_GRID = (1, 5, 10, 50)
+# Every grid search calibrates on the first 60% of a seeded shuffle of the
+# calibration data and measures set sizes on the last 40%.
+_TUNING_FRACTIONS = (0.6, 0.4)
 
 
 @dataclass(frozen=True)
@@ -115,17 +118,11 @@ class TuningResult:
         }
 
 
-def _grid_search(cal, alpha, spec, kinds: dict) -> TuningResult:
-    """Calibrate each ``{param: ScoreKind}`` entry on the first split part,
-    measure average set size on the second, and choose the smallest
-    average, ties going to the smallest parameter."""
-    if spec is None:
-        spec = SplitSpec((0.6, 0.4), seed=0)
-    if len(spec.fractions) != 2:
-        raise InvalidFractions("tuning expects a two-way calibration/tuning split")
-    cal_part, tune_part = split(cal, spec)
-    if cal_part.n == 0 or tune_part.n == 0:
-        raise InsufficientData("a tuning split part is empty")
+def _grid_search(cal, alpha, seed: int, kinds: dict) -> TuningResult:
+    """Calibrate each ``{param: ScoreKind}`` entry on the first part of the
+    tuning split seeded by ``seed``, measure average set size on the second,
+    and choose the smallest average, ties going to the smallest parameter."""
+    cal_part, tune_part = split(cal, SplitSpec(_TUNING_FRACTIONS, seed))
     table, preds = {}, {}
     for param, kind in kinds.items():
         preds[param] = calibrate(cal_part, kind, alpha)
@@ -140,20 +137,21 @@ def tune_gamma(
     cal: LabeledLogitDataset,
     alpha: float,
     grid=DEFAULT_GAMMA_GRID,
-    spec: SplitSpec = None,
+    seed: int = 0,
 ) -> TuningResult:
     """Pick the entmax gamma minimizing average set size.
 
-    Calibrates on the first split part for each gamma in the grid and
-    measures average prediction set size on the second; ties go to the
-    smallest gamma (the denser, safer predictor).
+    Shuffles ``cal`` with ``seed`` and splits it 60/40; calibrates on the
+    60% part for each gamma in the grid and measures average prediction
+    set size on the 40% part.  Ties go to the smallest gamma (the denser,
+    safer predictor).
     """
     grid = [float(checked(g, float, "gamma grid entry")) for g in grid]
     if not grid:
         raise InvalidInput("gamma grid is empty")
     if any(not 1.0 < g < 2.0 for g in grid):
         raise InvalidInput("every grid gamma must lie strictly inside (1, 2)")
-    return _grid_search(cal, alpha, spec, {g: ScoreKind.entmax(g) for g in grid})
+    return _grid_search(cal, alpha, seed, {g: ScoreKind.entmax(g) for g in grid})
 
 
 def tune_raps(
@@ -161,7 +159,7 @@ def tune_raps(
     alpha: float,
     lambda_grid=DEFAULT_LAMBDA_GRID,
     k_grid=DEFAULT_K_GRID,
-    spec: SplitSpec = None,
+    seed: int = 0,
 ) -> TuningResult:
     """Exhaustive (lambda_reg, k_reg) grid search for the RAPS score.
 
@@ -178,4 +176,4 @@ def tune_raps(
         for lam in lambdas
         for k in ks
     }
-    return _grid_search(cal, alpha, spec, kinds)
+    return _grid_search(cal, alpha, seed, kinds)

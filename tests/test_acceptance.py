@@ -34,7 +34,7 @@ from entconform import (
 )
 from entconform.cli import main as cli_main
 from entconform.conformal import LabeledLogitDataset
-from entconform.tuning import DEFAULT_GAMMA_GRID, DEFAULT_K_GRID, DEFAULT_LAMBDA_GRID, SplitSpec
+from entconform.tuning import DEFAULT_GAMMA_GRID, DEFAULT_K_GRID, DEFAULT_LAMBDA_GRID
 
 from oracles import project_simplex_bruteforce
 from synth import make_task, write_dataset_csv
@@ -220,17 +220,16 @@ def test_criterion_7_tuning_protocol():
             rng.normal(size=(400, 60)) + 3.0 * np.eye(60)[rng.integers(0, 60, 400)],
             rng.integers(0, 60, 400),
         )
-        spec = SplitSpec((0.6, 0.4), seed=3)
-        raps_a = tune_raps(wide, 0.1, DEFAULT_LAMBDA_GRID, DEFAULT_K_GRID, spec)
-        raps_b = tune_raps(wide, 0.1, DEFAULT_LAMBDA_GRID, DEFAULT_K_GRID, spec)
+        raps_a = tune_raps(wide, 0.1, DEFAULT_LAMBDA_GRID, DEFAULT_K_GRID, seed=3)
+        raps_b = tune_raps(wide, 0.1, DEFAULT_LAMBDA_GRID, DEFAULT_K_GRID, seed=3)
         assert len(raps_a.table) == 16
         assert raps_a.objective == min(raps_a.table.values())
         assert raps_a.table[raps_a.chosen] == raps_a.objective
         assert raps_a == raps_b
 
         narrow = make_task(400, num_classes=10, seed=21, radius=5.0, align=0.7)
-        gamma_a = tune_gamma(narrow, 0.1, DEFAULT_GAMMA_GRID, spec)
-        gamma_b = tune_gamma(narrow, 0.1, DEFAULT_GAMMA_GRID, spec)
+        gamma_a = tune_gamma(narrow, 0.1, DEFAULT_GAMMA_GRID, seed=3)
+        gamma_b = tune_gamma(narrow, 0.1, DEFAULT_GAMMA_GRID, seed=3)
         assert len(gamma_a.table) == 9
         assert list(gamma_a.table) == list(DEFAULT_GAMMA_GRID)
         assert gamma_a.objective == min(gamma_a.table.values())

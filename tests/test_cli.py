@@ -213,6 +213,7 @@ class TestPredictorFile:
             _set("calib_n", True),
             _set("num_classes", "4"),
             _set("num_classes", 1),
+            _set("num_classes", None),
             _set("extra", 1),
             _without("q_hat"),
             _without("num_classes"),
@@ -222,7 +223,7 @@ class TestPredictorFile:
             "missing-gamma", "gamma-str", "gamma-2", "foreign-field", "unknown-score",
             "kind-not-object", "flat-layout", "alpha-str", "alpha-range", "q-hat-negative",
             "q-hat-nan", "q-hat-null", "calib-n-zero", "calib-n-real", "calib-n-bool",
-            "num-classes-str", "num-classes-1", "unknown-key", "missing-q-hat",
+            "num-classes-str", "num-classes-1", "num-classes-null", "unknown-key", "missing-q-hat",
             "missing-num-classes", "top-level-list",
         ],
     )
@@ -320,6 +321,9 @@ class TestSweepCommand:
             ((2, "gamma"), 1.5),
             ((2, "gamma_grid"), 1.5),
             ((2, "gamma_grid"), ["x"]),
+            ((2, "k_grid"), [1]),
+            (("methods",), [{"score": "sparsemax", "gamma_grid": [1.5]}]),
+            (("methods",), [{"score": "raps", "tune": True, "k_grid": [1], "gamma_grid": [1.5]}]),
             ((0, "name"), 7),
             (("n_splits",), "2"),
             (("n_splits",), True),
@@ -338,7 +342,8 @@ class TestSweepCommand:
         ids=[
             "gamma-str", "gamma-bool", "k-reg-str", "lambda-list", "randomized-str",
             "rng-seed-real", "foreign-gamma", "tune-str", "tuned-with-gamma",
-            "grid-scalar", "grid-str", "name-int", "n-splits-str", "n-splits-bool",
+            "grid-scalar", "grid-str", "tuned-entmax-k-grid", "untuned-grid",
+            "tuned-raps-gamma-grid", "name-int", "n-splits-str", "n-splits-bool",
             "alphas-scalar", "alpha-str", "cal-fraction-str", "base-seed-real",
             "methods-object", "method-int", "input-path-int", "bins-scalar",
             "bin-edge-str", "bin-single-edge", "bin-edge-real",

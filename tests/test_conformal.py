@@ -28,6 +28,7 @@ from entconform import (
 )
 
 from oracles import order_statistic
+from synth import make_task
 
 Z5 = np.array([1.0, -1.0, -0.2, 0.4, -0.5])
 
@@ -130,14 +131,14 @@ class TestCalibrate:
 class TestPredictSet:
     def test_zero_threshold_gives_argmax_singleton(self):
         pred = CalibratedPredictor(
-            ScoreKind.sparsemax(), alpha=0.5, q_hat=0.0, calib_n=4
+            ScoreKind.sparsemax(), alpha=0.5, q_hat=0.0, calib_n=4, num_classes=5
         )
         assert predict_set(Z5, pred).labels == (0,)
 
     def test_worked_threshold(self):
         # scores per label: 0, 4.7, 1.8, 0.6, 2.7 -> only 0 and 3 pass 0.7
         pred = CalibratedPredictor(
-            ScoreKind.sparsemax(), alpha=0.5, q_hat=0.7, calib_n=4
+            ScoreKind.sparsemax(), alpha=0.5, q_hat=0.7, calib_n=4, num_classes=5
         )
         assert predict_set(Z5, pred).labels == (0, 3)
         # cross-check: the sparsemax support at beta = 1/0.7 is the same set
@@ -165,7 +166,7 @@ class TestPredictSet:
             previous = None
             for q in (0.0, 0.3, 1.0, 2.5, 10.0):
                 pred = CalibratedPredictor(
-                    ScoreKind.entmax(1.5), alpha=0.5, q_hat=q, calib_n=9
+                    ScoreKind.entmax(1.5), alpha=0.5, q_hat=q, calib_n=9, num_classes=6
                 )
                 labels = set(predict_set(z, pred).labels)
                 if previous is not None:
@@ -282,7 +283,7 @@ class TestTieSemantics:
         delta = 1.0 / (gamma - 1.0)
         q_hat = 2.0
         assert all_label_scores(z[None, :], kind)[0, 1] == q_hat
-        pred = CalibratedPredictor(kind, alpha=0.1, q_hat=q_hat, calib_n=10)
+        pred = CalibratedPredictor(kind, alpha=0.1, q_hat=q_hat, calib_n=10, num_classes=4)
         assert predict_set(z, pred).labels == (0, 1)
         assert support_set_via_entmax(z, delta / q_hat, gamma).labels == (0,)
 
@@ -291,7 +292,7 @@ class TestTieSemantics:
         for kind in (ScoreKind.sparsemax(), ScoreKind.entmax(1.5), ScoreKind.log_margin()):
             s = all_label_scores(z, kind)[0]
             assert s[1] == s[2]
-            pred = CalibratedPredictor(kind, alpha=0.1, q_hat=s[1], calib_n=10)
+            pred = CalibratedPredictor(kind, alpha=0.1, q_hat=s[1], calib_n=10, num_classes=4)
             assert predict_set(z[0], pred).labels == (0, 1, 2)
 
     def test_raps_breaks_ties_lower_index_first(self):
@@ -301,7 +302,7 @@ class TestTieSemantics:
         kind = ScoreKind.raps(RapsParams(lambda_reg=0.0, k_reg=1))
         s = all_label_scores(z, kind)[0]
         assert s[1] < s[2]
-        pred = CalibratedPredictor(kind, alpha=0.1, q_hat=s[1], calib_n=10)
+        pred = CalibratedPredictor(kind, alpha=0.1, q_hat=s[1], calib_n=10, num_classes=4)
         assert predict_set(z[0], pred).labels == (0, 1)
 
     @pytest.mark.parametrize(
@@ -407,3 +408,65 @@ class TestPredictionSet:
         assert s.labels == (0, 2, 3)
         assert s.size == 3
         assert 2 in s and 1 not in s
+
+
+def _raps(randomized=False, rng_seed=0):
+    return ScoreKind.raps(
+        RapsParams(lambda_reg=0.01, k_reg=2, randomized=randomized, rng_seed=rng_seed)
+    )
+
+
+class TestCoverageLaw:
+    """The exact law of split conformal coverage for tie-free scores (Vovk,
+    2012; Angelopoulos & Bates, 2021, arXiv 2107.07511).
+
+    Given n calibration scores, the coverage of a fresh test point is
+    Beta(n+1-l, l) with l = floor((n+1) alpha), whose mean is
+    ceil((n+1)(1-alpha))/(n+1).  Each trial calibrates on n fresh rows and
+    measures coverage on m fresh rows, which adds binomial noise.  A
+    quantile index one off moves the mean by 1/(n+1): about eleven
+    standard errors at these sizes, which the mean-coverage bounds
+    elsewhere cannot resolve.
+    """
+
+    TRIALS, N, M, ALPHA = 2000, 100, 100, 0.1
+
+    @pytest.mark.parametrize(
+        "kind_of_trial",
+        [
+            lambda t: ScoreKind.sparsemax(),
+            lambda t: ScoreKind.entmax(1.5),
+            lambda t: ScoreKind.log_margin(),
+            lambda t: ScoreKind.inv_prob(),
+            lambda t: _raps(),
+            # the guarantee holds over the u-draw, so every trial draws anew
+            lambda t: _raps(randomized=True, rng_seed=2 * t),
+        ],
+        ids=["sparsemax", "entmax-1.5", "log-margin", "inv-prob", "raps", "raps-randomized"],
+    )
+    def test_mean_and_variance_match_the_beta_law(self, kind_of_trial):
+        T, n, m, alpha = self.TRIALS, self.N, self.M, self.ALPHA
+        pool = make_task(T * (n + m), num_classes=10, seed=41)
+        logits = pool.logits.reshape(T, n + m, -1)
+        labels = pool.labels.reshape(T, n + m)
+        coverage = np.empty(T)
+        for t in range(T):
+            cal = LabeledLogitDataset(logits[t, :n], labels[t, :n])
+            pred = calibrate(cal, kind_of_trial(t), alpha)
+            masks = set_masks(logits[t, n:], pred)
+            coverage[t] = masks[np.arange(m), labels[t, n:]].mean()
+
+        l = math.floor((n + 1) * alpha)
+        a, b = n + 1 - l, l
+        beta_var = a * b / ((a + b) ** 2 * (a + b + 1))
+        mean = math.ceil((n + 1) * (1 - alpha)) / (n + 1)
+        # law of total variance: the Beta spread plus the binomial test noise
+        var = beta_var + (mean - mean**2 - beta_var) / m
+
+        z_mean = (coverage.mean() - mean) / math.sqrt(var / T)
+        assert abs(z_mean) < 5.0, f"mean {coverage.mean():.5f} vs {mean:.5f}, z = {z_mean:.2f}"
+        centered = coverage - coverage.mean()
+        sample_var = centered.var(ddof=1)
+        var_se = math.sqrt((np.mean(centered**4) - sample_var**2) / T)
+        z_var = (sample_var - var) / var_se
+        assert abs(z_var) < 5.0, f"variance {sample_var:.3e} vs {var:.3e}, z = {z_var:.2f}"

@@ -119,9 +119,7 @@ def oracle_tune_gamma_table(data, alpha, grid, spec):
 class TestTuneGamma:
     def test_single_element_grid(self):
         rng = np.random.default_rng(6)
-        result = tune_gamma(
-            random_dataset(rng), 0.2, grid=[1.5], spec=SplitSpec((0.6, 0.4), seed=1)
-        )
+        result = tune_gamma(random_dataset(rng), 0.2, grid=[1.5], seed=1)
         assert result.chosen == 1.5
         assert list(result.table) == [1.5]
 
@@ -130,7 +128,7 @@ class TestTuneGamma:
         # (gamma=1.9) excludes their third label, the near-max norm keeps it
         data = gamma_toy_dataset()
         spec = SplitSpec((0.6, 0.4), seed=0)
-        result = tune_gamma(data, 0.5, grid=[1.1, 1.9], spec=spec)
+        result = tune_gamma(data, 0.5, grid=[1.1, 1.9], seed=spec.seed)
         expected = oracle_tune_gamma_table(data, 0.5, [1.1, 1.9], spec)
         assert result.table == pytest.approx(expected)
         assert expected[1.9] < expected[1.1]
@@ -143,7 +141,7 @@ class TestTuneGamma:
             random_dataset(rng, n=60),
             0.2,
             grid=DEFAULT_GAMMA_GRID,
-            spec=SplitSpec((0.6, 0.4), seed=2),
+            seed=2,
         )
         assert list(result.table) == list(DEFAULT_GAMMA_GRID)
         assert result.objective == min(result.table.values())
@@ -153,43 +151,29 @@ class TestTuneGamma:
         data = random_dataset(rng, n=30, k=5)
         spec = SplitSpec((0.6, 0.4), seed=4)
         grid = [1.2, 1.5, 1.8]
-        result = tune_gamma(data, 0.3, grid=grid, spec=spec)
+        result = tune_gamma(data, 0.3, grid=grid, seed=spec.seed)
         expected = oracle_tune_gamma_table(data, 0.3, grid, spec)
         assert result.table == pytest.approx(expected)
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         data = random_dataset(rng, n=50)
-        spec = SplitSpec((0.6, 0.4), seed=5)
-        a = tune_gamma(data, 0.2, spec=spec)
-        b = tune_gamma(data, 0.2, spec=spec)
+        a = tune_gamma(data, 0.2, seed=5)
+        b = tune_gamma(data, 0.2, seed=5)
         assert a == b
 
     def test_bad_grid(self):
         rng = np.random.default_rng(10)
         data = random_dataset(rng)
         with pytest.raises(InvalidInput):
-            tune_gamma(data, 0.2, grid=[], spec=SplitSpec((0.6, 0.4), seed=0))
+            tune_gamma(data, 0.2, grid=[], seed=0)
         with pytest.raises(InvalidInput):
-            tune_gamma(data, 0.2, grid=[2.0], spec=SplitSpec((0.6, 0.4), seed=0))
+            tune_gamma(data, 0.2, grid=[2.0], seed=0)
 
     def test_insufficient_data(self):
         rng = np.random.default_rng(11)
         with pytest.raises(InsufficientData):
-            # a 5% calibration share of 10 instances floors to zero
-            tune_gamma(
-                random_dataset(rng, n=10),
-                0.2,
-                grid=[1.5],
-                spec=SplitSpec((0.05, 0.95), seed=0),
-            )
-        with pytest.raises(InsufficientData):
-            tune_gamma(
-                random_dataset(rng, n=1),
-                0.2,
-                grid=[1.5],
-                spec=SplitSpec((0.6, 0.4), seed=0),
-            )
+            tune_gamma(random_dataset(rng, n=1), 0.2, grid=[1.5], seed=0)
 
 
 class TestTuneRaps:
@@ -200,7 +184,7 @@ class TestTuneRaps:
             0.2,
             lambda_grid=[0.1],
             k_grid=[2],
-            spec=SplitSpec((0.6, 0.4), seed=1),
+            seed=1,
         )
         assert result.chosen == (0.1, 2)
 
@@ -214,7 +198,7 @@ class TestTuneRaps:
             0.2,
             lambda_grid=[0.0, 0.5, 1.0],
             k_grid=[4],
-            spec=SplitSpec((0.6, 0.4), seed=2),
+            seed=2,
         )
         objectives = list(result.table.values())
         assert objectives.count(result.objective) == 3
@@ -228,7 +212,7 @@ class TestTuneRaps:
             0.1,
             lambda_grid=DEFAULT_LAMBDA_GRID,
             k_grid=DEFAULT_K_GRID,
-            spec=SplitSpec((0.6, 0.4), seed=3),
+            seed=3,
         )
         assert len(result.table) == 16
         assert result.table[result.chosen] == result.objective
@@ -237,9 +221,8 @@ class TestTuneRaps:
     def test_deterministic(self):
         rng = np.random.default_rng(15)
         data = random_dataset(rng, n=60)
-        spec = SplitSpec((0.6, 0.4), seed=6)
-        assert tune_raps(data, 0.2, spec=spec, k_grid=[1, 2]) == tune_raps(
-            data, 0.2, spec=spec, k_grid=[1, 2]
+        assert tune_raps(data, 0.2, seed=6, k_grid=[1, 2]) == tune_raps(
+            data, 0.2, seed=6, k_grid=[1, 2]
         )
 
 
@@ -278,14 +261,14 @@ class TestChosenPredictor:
     def test_tune_gamma_predictor(self):
         data = make_task(300, 8, seed=4)
         spec = SplitSpec((0.6, 0.4), seed=5)
-        result = tune_gamma(data, 0.1, grid=[1.2, 1.5, 1.8], spec=spec)
+        result = tune_gamma(data, 0.1, grid=[1.2, 1.5, 1.8], seed=spec.seed)
         want = calibrate(split(data, spec)[0], ScoreKind.entmax(result.chosen), 0.1)
         assert result.predictor == want
 
     def test_tune_raps_predictor(self):
         data = make_task(300, 8, seed=6)
         spec = SplitSpec((0.6, 0.4), seed=7)
-        result = tune_raps(data, 0.1, lambda_grid=[0.01, 0.1], k_grid=[1, 3], spec=spec)
+        result = tune_raps(data, 0.1, lambda_grid=[0.01, 0.1], k_grid=[1, 3], seed=spec.seed)
         lam, k = result.chosen
         kind = ScoreKind.raps(RapsParams(lambda_reg=lam, k_reg=k))
         assert result.predictor == calibrate(split(data, spec)[0], kind, 0.1)
@@ -311,7 +294,7 @@ class TestTuningHygiene:
             0.2,
             lambda_grid=[0.1],
             k_grid=[1, 2],
-            spec=SplitSpec((0.6, 0.4), seed=1),
+            seed=1,
         )
         doc = result.to_json_dict()
         assert doc["chosen"] == list(result.chosen)
