@@ -35,7 +35,7 @@ from .errors import (
     LabelOutOfRange,
     checked,
 )
-from .scores import ScoreKind, all_label_scores, true_label_scores
+from .scores import ScoreKind, threshold_masks, true_label_scores
 
 __all__ = [
     "CalibratedPredictor",
@@ -235,7 +235,7 @@ def set_masks(Z, pred: CalibratedPredictor, u=None) -> np.ndarray:
     kind = pred.score_kind
     if kind.variant == "raps" and kind.raps_params.randomized and u is None:
         u = np.random.default_rng(kind.raps_params.rng_seed + 1).uniform(size=Z.shape[0])
-    return all_label_scores(Z, kind, u=u) <= pred.q_hat
+    return threshold_masks(Z, kind, pred.q_hat, u=u)
 
 
 def predict_sets(Z, pred: CalibratedPredictor, u=None) -> list[PredictionSet]:

@@ -37,10 +37,12 @@ __all__ = [
     "score_log_margin",
     "score_raps",
     "score_sparsemax",
+    "threshold_masks",
     "true_label_scores",
 ]
 
-# Row-block size cap for the O(K^2) gap-norm computation, in matrix cells.
+# Row-block size cap, in cells: rows * K * K for the full entmax score rows,
+# rows * K for the rank search.
 _CHUNK_CELLS = 4_000_000
 
 
@@ -250,7 +252,9 @@ def score_raps(z, y: int, params: RapsParams, u: float = 1.0) -> float:
 # Vectorized scoring.  One stable descending sort per instance is shared by
 # every label's score: gap sums come from a running sum (delta = 1) or from a
 # masked gap matrix (general delta), so a full K-label score row costs
-# O(K) or O(K^2) after the O(K log K) sort.
+# O(K) or O(K^2) after the O(K log K) sort.  A general-delta prediction set
+# needs only its size, found by a binary search over the ranks at O(K) per
+# probe: O(K log K) per row in all (see :func:`_entmax_prefix`).
 # ---------------------------------------------------------------------------
 
 
@@ -302,6 +306,81 @@ def _entmax_all_sorted(zs: np.ndarray, delta: float) -> np.ndarray:
     for start in range(0, zs.shape[0], block):
         out[start : start + block] = _entmax_at(zs[start : start + block], ranks, delta)
     return out
+
+
+def _kernel_eps(k: int) -> float:
+    """Relative error bound of :func:`_entmax_at` against the exact delta-norm.
+
+    With u = 2**-53, round-to-nearest, and gaps g_j of the (exact) sorted
+    logits, each step of the kernel contributes a relative factor:
+
+    - gap ``z_(j) - z_(r)``: u; the ratio to the top gap: 2u more, so each
+      ratio is within (1 + 3u) of exact (the top ratio is exactly 1);
+    - ``ratio**delta``: the ratio's error raised to delta, times 2u for
+      ``pow`` (within one ulp);
+    - the sum of K nonnegative terms, in any order: (K - 1) u.  The top
+      term is 1, so terms that underflow shift the sum by at most
+      K * 2**-1074, far below u;
+    - the root ``**(1/delta)``: it takes the delta-th root of the factors
+      so far, which undoes the raised ratio error (back to 3u) and, since
+      delta > 1, shrinks the others; 2u for ``pow``, and ``1/delta``'s own
+      rounding adds u * ln K;
+    - the product with the top gap: 2u (the gap's and the product's).
+
+    To first order that is (K + 8 + ln K) u.  The bound doubles it, with
+    ln K rounded up to 56: the slack covers second-order terms and the
+    rounding of the certificate's own products.  It holds while the top
+    gap is 0 or a normal number and nothing overflows, which
+    :func:`_entmax_prefix` checks through ``q``.
+    """
+    return (k + 64) * 2.0**-52
+
+
+def _entmax_prefix(zs: np.ndarray, delta: float, q: float) -> np.ndarray:
+    """``score <= q`` in rank order for sorted rows ``zs`` (n, K), equal bit
+    for bit to ``_entmax_all_sorted(zs, delta) <= q``.
+
+    The exact delta-norm N(r) of the gaps above rank r never decreases in
+    r, so a row's set is a prefix of its ranks.  A binary search finds its
+    size s, probing one rank per row with the kernel, and keeps the last
+    score at most q, ``lo = score(s - 1)``, and the first above it,
+    ``hi = score(s)`` (+inf when s = K).  With eps from :func:`_kernel_eps`
+    the row is certain when ``lo (1+eps) <= q (1-eps)`` and
+    ``hi (1-eps) > q (1+eps)``: then every rank below s scores at most
+    ``(1+eps) N(s-1) <= q`` and every rank from s on scores more than q,
+    wherever the rounding of the probes led the search.  Zero scores are
+    exact (the top gap is 0 exactly when the exact one is), so q = 0 is
+    certain too.  For 0 < q < K * 2**-1020, where a top gap below the
+    normal range would break the bound, and for q > 2**1000, where gaps
+    may overflow, no row is.  A row that is not certain, in practice one
+    with a score within about K * 2**-52 of q, is scored in full.
+    """
+    n, k = zs.shape
+    lo = np.ones(n, dtype=np.intp)  # rank 0 scores 0 <= q
+    hi = np.full(n, k, dtype=np.intp)
+    s_lo = np.zeros(n)
+    s_hi = np.full(n, np.inf)
+    while (searching := lo < hi).any():
+        mid = (lo + hi) // 2
+        s_mid = _entmax_at(zs, np.minimum(mid, k - 1)[:, None], delta)[:, 0]
+        inside = s_mid <= q
+        go_up = searching & inside
+        go_down = searching & ~inside
+        lo = np.where(go_up, mid + 1, lo)
+        s_lo = np.where(go_up, s_mid, s_lo)
+        hi = np.where(go_down, mid, hi)
+        s_hi = np.where(go_down, s_mid, s_hi)
+    eps = _kernel_eps(k)
+    in_range = q == 0.0 or k * 2.0**-1020 <= q <= 2.0**1000
+    certain = (
+        in_range
+        & (s_lo * (1.0 + eps) <= q * (1.0 - eps))
+        & (s_hi * (1.0 - eps) > q * (1.0 + eps))
+    )
+    prefix = np.arange(k) < lo[:, None]
+    if not certain.all():
+        prefix[~certain] = _entmax_all_sorted(zs[~certain], delta) <= q
+    return prefix
 
 
 def _softmax_rows(Z: np.ndarray) -> np.ndarray:
@@ -357,6 +436,26 @@ def all_label_scores(Z, kind: ScoreKind, u=None) -> np.ndarray:
         return 1.0 - _softmax_rows(Z)
     s, ranks = _rank_order_scores(Z, kind, u)
     return np.take_along_axis(s, ranks, axis=1)
+
+
+def threshold_masks(Z, kind: ScoreKind, q: float, u=None) -> np.ndarray:
+    """``all_label_scores(Z, kind, u) <= q`` as a bool (n, K) mask, bit for bit.
+
+    For the general-gamma kind each row's set is found by a rank search
+    (:func:`_entmax_prefix`) in blocks of rows, so no O(K^2) score matrix
+    is built; every other kind compares its full score rows.
+    """
+    Z = _as_logit_rows(Z)
+    if kind.variant != "entmax":
+        return all_label_scores(Z, kind, u=u) <= q
+    delta = 1.0 / (kind.gamma - 1.0)
+    mask = np.empty(Z.shape, dtype=bool)
+    block = max(1, _CHUNK_CELLS // Z.shape[1])
+    for start in range(0, Z.shape[0], block):
+        _, zs, ranks = _sorted_rows(Z[start : start + block])
+        prefix = _entmax_prefix(zs, delta, q)
+        mask[start : start + block] = np.take_along_axis(prefix, ranks, axis=1)
+    return mask
 
 
 def true_label_scores(Z, labels, kind: ScoreKind, u=None) -> np.ndarray:

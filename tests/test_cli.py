@@ -4,8 +4,9 @@ import warnings
 
 import pytest
 
-from entconform import PredictionSet
+from entconform import PredictionSet, ScoreKind, calibrate, scores, set_masks, tune_gamma
 from entconform.cli import main
+from entconform.tuning import DEFAULT_GAMMA_GRID
 
 from synth import make_task, write_dataset_csv
 
@@ -407,6 +408,29 @@ class TestSweepCommand:
         pred_path = calibrate_entmax(tmp_path, dataset_csv)
         assert main(["evaluate", "--predictor", str(pred_path), "--input", dataset_csv,
                      "--out", str(tmp_path / "e.json")]) == 0
+        capsys.readouterr()
+
+    def test_entmax_sets_build_no_gap_matrix(self, tmp_path, dataset_csv, capsys, monkeypatch):
+        # entmax sets come from the rank search; on held-out rows, where no
+        # score sits at q_hat, the O(K^2) full score rows are never built
+        def refuse(zs, delta):
+            raise AssertionError("built an entmax gap matrix")
+
+        monkeypatch.setattr(scores, "_entmax_all_sorted", refuse)
+        data = make_task(400, num_classes=20, seed=9)
+        cal, test = data.subset(range(200)), data.subset(range(200, 400))
+        pred = calibrate(cal, ScoreKind.entmax(1.5), 0.1)
+        assert set_masks(test.logits, pred).any(axis=1).all()
+        tune_gamma(cal, 0.1, DEFAULT_GAMMA_GRID)
+        cfg = {
+            "input_path": dataset_csv,
+            "methods": [{"score": "entmax", "gamma": 1.5}, {"score": "entmax", "tune": True}],
+            "alphas": [0.1, 0.2],
+            "n_splits": 2,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
         capsys.readouterr()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):

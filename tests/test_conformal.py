@@ -26,6 +26,8 @@ from entconform import (
     support_sets_via_entmax,
     true_label_scores,
 )
+from entconform import scores
+from entconform.tuning import DEFAULT_GAMMA_GRID
 
 from oracles import order_statistic
 from synth import make_task
@@ -338,6 +340,110 @@ class TestTieSemantics:
             np.testing.assert_array_equal(covered, s <= pred.q_hat)
 
 
+def _logit_draws(rng, n, k):
+    """Gaussian, tie-heavy integer and 1e6-offset logits."""
+    return (
+        rng.normal(size=(n, k)) * 3.0,
+        rng.integers(0, 4, size=(n, k)).astype(float),
+        rng.normal(size=(n, k)) + 1e6,
+    )
+
+
+def _spy_full_rows(monkeypatch):
+    """Count the rows that the full-row entmax route scores, call by call."""
+    seen = []
+    full_rows = scores._entmax_all_sorted
+
+    def spy(zs, delta):
+        seen.append(zs.shape[0])
+        return full_rows(zs, delta)
+
+    monkeypatch.setattr(scores, "_entmax_all_sorted", spy)
+    return seen
+
+
+def _entmax_predictor(gamma, q_hat, k):
+    return CalibratedPredictor(
+        ScoreKind.entmax(gamma), alpha=0.1, q_hat=q_hat, calib_n=10, num_classes=k
+    )
+
+
+class TestRankSearch:
+    """Entmax sets come from a certified rank search; they must equal the
+    threshold of the full score rows bit for bit."""
+
+    @pytest.mark.parametrize("gamma", DEFAULT_GAMMA_GRID)
+    def test_matches_full_rows(self, gamma):
+        rng = np.random.default_rng(int(gamma * 10))
+        kind = ScoreKind.entmax(gamma)
+        for k, n in ((2, 60), (3, 60), (10, 60), (57, 30), (300, 10), (1000, 2)):
+            for Z in _logit_draws(rng, n, k):
+                full = all_label_scores(Z, kind)
+                s = true_label_scores(Z, rng.integers(0, k, n), kind)
+                for q_hat in (0.0, float(np.median(s)), float(s.max())):
+                    masks = set_masks(Z, _entmax_predictor(gamma, q_hat, k))
+                    np.testing.assert_array_equal(masks, full <= q_hat)
+
+    def test_fed_back_calibration_rows_take_the_fallback(self, monkeypatch):
+        # the row whose score set q_hat sits exactly on the threshold: no
+        # certificate holds there, so it is scored in full, and only rows
+        # with a score within a few kernel error bounds of q_hat are
+        seen = _spy_full_rows(monkeypatch)
+        rng = np.random.default_rng(5)
+        for k in (10, 57, 300):
+            for Z in _logit_draws(rng, 100, k):
+                cal = LabeledLogitDataset(Z, rng.integers(0, k, 100))
+                pred = calibrate(cal, ScoreKind.entmax(1.5), 0.2)
+                full = all_label_scores(Z, pred.score_kind)
+                seen.clear()
+                masks = set_masks(Z, pred)
+                np.testing.assert_array_equal(masks, full <= pred.q_hat)
+                assert sum(seen) >= 1
+                near = np.abs(full - pred.q_hat) <= 3 * scores._kernel_eps(k) * pred.q_hat
+                assert sum(seen) <= np.count_nonzero(near.any(axis=1))
+
+    def test_row_blocks_change_no_bit(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        Z = rng.normal(size=(50, 57))
+        cal = LabeledLogitDataset(Z, rng.integers(0, 57, 50))
+        pred = calibrate(cal, ScoreKind.entmax(1.3), 0.3)
+        whole = set_masks(Z, pred)
+        sorts = []
+        sort = scores.descending_order
+
+        def counted_sort(z):
+            sorts.append(z.shape[0])
+            return sort(z)
+
+        monkeypatch.setattr(scores, "descending_order", counted_sort)
+        monkeypatch.setattr(scores, "_CHUNK_CELLS", 7 * 57)
+        np.testing.assert_array_equal(set_masks(Z, pred), whole)
+        assert sorts == [7] * 7 + [1]
+        np.testing.assert_array_equal(whole, all_label_scores(Z, pred.score_kind) <= pred.q_hat)
+
+    def test_certificate_catches_a_non_monotone_kernel(self, monkeypatch):
+        # lower every odd rank's score by 4 ulps.  In [3, 2, 1, 1] ranks 2
+        # and 3 are tied, so rank 3 now scores below rank 2, and a q_hat at
+        # rank 3's score gives a set that is no prefix of the ranks: the
+        # search alone would miss label 3.  The row far from q_hat keeps
+        # its certificate.
+        kernel = scores._entmax_at
+
+        def skewed(zs, r, delta):
+            return kernel(zs, r, delta) * np.where(r % 2 == 1, 1.0 - 2.0**-50, 1.0)
+
+        monkeypatch.setattr(scores, "_entmax_at", skewed)
+        Z = np.array([[3.0, 2.0, 1.0, 1.0], [9.0, 0.0, 0.0, 0.0]])
+        full = all_label_scores(Z, ScoreKind.entmax(1.5))
+        q_hat = float(full[0, 3])
+        assert full[0, 2] > q_hat
+        expected = full <= q_hat
+        assert expected[0].tolist() == [True, True, False, True]
+        seen = _spy_full_rows(monkeypatch)
+        np.testing.assert_array_equal(set_masks(Z, _entmax_predictor(1.5, q_hat, 4)), expected)
+        assert seen == [1]
+
+
 class TestSerialization:
     def test_field_names_and_roundtrip(self):
         cal = toy_dataset()
@@ -470,3 +576,34 @@ class TestCoverageLaw:
         var_se = math.sqrt((np.mean(centered**4) - sample_var**2) / T)
         z_var = (sample_var - var) / var_se
         assert abs(z_var) < 5.0, f"variance {sample_var:.3e} vs {var:.3e}, z = {z_var:.2f}"
+
+    @pytest.mark.parametrize(
+        "kind_of_trial",
+        [
+            lambda t: ScoreKind.sparsemax(),
+            lambda t: ScoreKind.entmax(1.5),
+            lambda t: ScoreKind.log_margin(),
+            lambda t: ScoreKind.inv_prob(),
+            lambda t: _raps(),
+            lambda t: _raps(randomized=True, rng_seed=2 * t),
+        ],
+        ids=["sparsemax", "entmax-1.5", "log-margin", "inv-prob", "raps", "raps-randomized"],
+    )
+    def test_ties_keep_the_lower_bound(self, kind_of_trial):
+        # integer logits tie labels within a row and scores across rows;
+        # a closed threshold keeps every tie at q_hat, so coverage can only
+        # rise above the law's mean, and only that lower bound is asserted
+        T, n, m, alpha = 1000, self.N, self.M, self.ALPHA
+        pool = make_task(T * (n + m), num_classes=10, seed=43)
+        logits = np.round(pool.logits).reshape(T, n + m, -1)
+        labels = pool.labels.reshape(T, n + m)
+        coverage = np.empty(T)
+        for t in range(T):
+            cal = LabeledLogitDataset(logits[t, :n], labels[t, :n])
+            pred = calibrate(cal, kind_of_trial(t), alpha)
+            masks = set_masks(logits[t, n:], pred)
+            coverage[t] = masks[np.arange(m), labels[t, n:]].mean()
+
+        law = math.ceil((n + 1) * (1 - alpha)) / (n + 1)
+        se = coverage.std(ddof=1) / math.sqrt(T)
+        assert coverage.mean() >= law - 5 * se, f"mean {coverage.mean():.5f} vs {law:.5f}"
