@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 parse/validation error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -53,6 +54,10 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def _cmd_transform(args) -> int:
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        # Bad bytes reach the parser as lone surrogates, which it reports
+        # with their line, as it does for an input file.
+        sys.stdin.reconfigure(errors="surrogateescape")
     logits, _ = _read_logits_csv(sys.stdin)
     cfg = EntmaxConfig(gamma=args.gamma)
     if args.beta < 0.0:

@@ -15,9 +15,13 @@ per row, label first, then the raw (untransformed) label scores.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import math
 import os
+import re
+import warnings
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -66,36 +70,128 @@ def load_dataset(path: str) -> LabeledLogitDataset:
     refuse it downstream).
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        raw = open(path, "rb")
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        logits, labels = _read_logits_csv(fh, labeled=True)
+    with raw:
+        rows = None
+        if raw.seekable():
+            # Every record but the last ends in a newline, and so does the
+            # header: the count bounds the data rows.
+            rows = sum(chunk.count(b"\n") for chunk in iter(lambda: raw.read(1 << 20), b""))
+            raw.seek(0)
+        fh = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline="")
+        logits, labels = _read_logits_csv(fh, labeled=True, rows=rows)
     return LabeledLogitDataset(logits, labels)
 
 
-def _read_logits_csv(fh, labeled: bool = False):
+# Cells per block of lines handed to numpy's tokenizer, so that a block's
+# text and its parsed rows stay small beside the output at any K.
+_BLOCK_CELLS = 1 << 16
+_BLANK = ("\n", "\r\n", "\r")
+# Separators that numpy strips around a number as whitespace and float()
+# does not.
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+# The lone surrogates that ``errors="surrogateescape"`` decodes bad bytes to.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _read_logits_csv(fh, labeled: bool = False, rows: Optional[int] = None):
     """``(logits, labels)`` from CSV text with a ``label,z0,...,z{K-1}``
     header, or, unless ``labeled``, a bare ``z0,...,z{K-1}`` one, whose
-    labels are None.  Malformed rows raise with their 1-based line number.
+    labels are None.  Malformed rows raise with their 1-based record
+    number; the first error in file order wins.
+
+    ``rows``, an upper bound on the data records when it is known, lets
+    the logits be allocated once; otherwise the blocks are joined at the
+    end.  The logits are C-contiguous float64 and the labels int64.
     """
-    reader = csv.reader(fh)
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise ParseError("empty input: missing header", line=1) from None
+    _, header = next(_records(fh, 1), (1, None))
+    if header is None:
+        raise ParseError("empty input: missing header", line=1)
+    _check_decoded(header, 1)
+    header = [h.strip() for h in header]
     offset = 1 if header[:1] == ["label"] else 0
     k = len(header) - offset
     names_ok = header[offset:] == [f"z{i}" for i in range(k)]
     if k < 2 or not names_ok or (labeled and not offset):
         form = "label,z0,...,z{K-1}" if labeled else "[label,]z0,...,z{K-1}"
         raise ParseError(f"header must be {form} with K >= 2, got {header!r}", line=1)
-    width = k + offset
+    logits = np.empty((rows or 0, k))
+    filled = 0
+    spill, label_parts = [], []
+    for values, labels in _blocks(fh, k + offset, offset):
+        if not spill and filled + len(values) <= len(logits):
+            logits[filled : filled + len(values)] = values
+            filled += len(values)
+        else:
+            spill.append(values)
+        label_parts.append(labels)
+    logits = np.concatenate([logits[:filled], *spill]) if spill else logits[:filled]
+    labels = np.concatenate([np.empty(0, dtype=np.int64), *label_parts])
+    return logits, labels if offset else None
+
+
+def _blocks(fh, width: int, offset: int):
+    """``(values, labels)`` for each block of lines after the header.
+
+    A block goes to numpy's tokenizer, and to the row loop where that
+    rejects it.  A quoted field may span lines, so from the first block
+    with a quote the row loop reads the rest of the input.
+    """
+    size = max(1, _BLOCK_CELLS // width)
+    lineno = 2
+    while lines := list(itertools.islice(fh, size)):
+        if any('"' in line for line in lines):
+            yield _parse_rows(itertools.chain(lines, fh), lineno, width, offset)
+            return
+        parsed = _parse_block(lines, width, offset)
+        yield parsed if parsed is not None else _parse_rows(lines, lineno, width, offset)
+        lineno += len(lines)
+
+
+def _parse_block(lines, width: int, offset: int):
+    """``(values, labels)`` of unquoted lines by numpy's tokenizer, or None
+    where :func:`_parse_rows` must judge them.
+
+    Where numpy accepts a token it gives ``float()``'s bits.  Where the two
+    differ, numpy rejects (underscores, non-ASCII digits, whitespace-only
+    lines), or the block is screened out first: a field longer than the
+    csv module allows, or a separator in ``_NOT_FLOAT_SPACE``.  Labels are
+    parsed by ``int()``, which rejects ``"3.0"``.  Any rejection or failed
+    check returns None, so the row loop reports the first error in its own
+    words.
+    """
+    limit = csv.field_size_limit()
+    if any(len(line) > limit or any(c in line for c in _NOT_FLOAT_SPACE) for line in lines):
+        return None
+    data = [line for line in lines if line not in _BLANK]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(data, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+        if table.shape != (len(data), width) or not np.isfinite(table[:, offset:]).all():
+            return None
+        labels = [int(line[: line.index(",")]) for line in data] if offset else []
+    except (ValueError, Warning):
+        return None
+    if labels and not 0 <= min(labels) <= max(labels) < width - offset:
+        return None
+    return table[:, offset:], np.asarray(labels, dtype=np.int64)
+
+
+def _parse_rows(lines, lineno: int, width: int, offset: int):
+    """``(values, labels)`` of the CSV records in ``lines``, the first of
+    which is record ``lineno``, parsed one row at a time; the first
+    malformed record raises with its number.  Blank records are skipped.
+    """
+    k = width - offset
     labels: list[int] = []
     rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in _records(lines, lineno):
         if not row:
             continue
+        _check_decoded(row, lineno)
         if len(row) != width:
             raise InconsistentWidth(f"expected {width} fields, got {len(row)}", line=lineno)
         if offset:
@@ -113,8 +209,28 @@ def _read_logits_csv(fh, labeled: bool = False):
         if not all(math.isfinite(v) for v in values):
             raise ParseError("non-finite score value", line=lineno)
         rows.append(values)
-    logits = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, k))
-    return logits, np.asarray(labels, dtype=np.int64) if offset else None
+    return np.asarray(rows, dtype=np.float64).reshape(-1, k), np.asarray(labels, dtype=np.int64)
+
+
+def _records(lines, lineno: int):
+    """``(number, row)`` for each CSV record in ``lines``, numbered from
+    ``lineno``; the csv module's errors (a field over its size limit) raise
+    ParseError with the number of the record they hit."""
+    reader = csv.reader(lines)
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        yield lineno, row
+        lineno += 1
+
+
+def _check_decoded(row: list, lineno: int) -> None:
+    if any(map(_UNDECODABLE.search, row)):
+        raise ParseError(f"bytes that are not UTF-8 in {row!r}", line=lineno)
 
 
 def read_json_object(path: str) -> dict:

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 # Row-block size cap, in cells: rows * K * K for the full entmax score rows,
-# rows * K for the rank search.
+# rows * K for the rank search and the true-label entmax scores.
 _CHUNK_CELLS = 4_000_000
 
 
@@ -477,8 +477,13 @@ def true_label_scores(Z, labels, kind: ScoreKind, u=None) -> np.ndarray:
     if kind.variant == "inv_prob":
         return 1.0 - _softmax_rows(Z)[rows, labels]
     if kind.variant == "entmax":
-        _, zs, ranks = _sorted_rows(Z)
-        ry = ranks[rows, labels][:, None]
-        return _entmax_at(zs, ry, 1.0 / (kind.gamma - 1.0))[:, 0]
+        delta = 1.0 / (kind.gamma - 1.0)
+        out = np.empty(Z.shape[0])
+        block = max(1, _CHUNK_CELLS // Z.shape[1])
+        for start in range(0, Z.shape[0], block):
+            _, zs, ranks = _sorted_rows(Z[start : start + block])
+            ry = np.take_along_axis(ranks, labels[start : start + block, None], axis=1)
+            out[start : start + block] = _entmax_at(zs, ry, delta)[:, 0]
+        return out
     s, ranks = _rank_order_scores(Z, kind, u)
     return s[rows, ranks[rows, labels]]

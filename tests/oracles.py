@@ -7,10 +7,13 @@ bug cannot cancel out on both sides of a comparison.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
 import numpy as np
+
+from entconform.errors import InconsistentWidth, LabelOutOfRange, ParseError
 
 
 def project_simplex_bruteforce(z: np.ndarray) -> np.ndarray:
@@ -75,3 +78,47 @@ def delta_norm(gaps: np.ndarray, delta: float) -> float:
     if gaps.size == 0:
         return 0.0
     return float(np.sum(gaps**delta) ** (1.0 / delta))
+
+
+def read_logits_csv_per_row(fh, labeled: bool = False):
+    """The CSV parser as it was before row blocks: csv records, ``int()``
+    labels and ``float()`` values, one row at a time.  It shares only the
+    exception classes with the package, so the block parser can be held to
+    its values, labels, error classes, lines and messages.
+    """
+    reader = csv.reader(fh)
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ParseError("empty input: missing header", line=1) from None
+    offset = 1 if header[:1] == ["label"] else 0
+    k = len(header) - offset
+    names_ok = header[offset:] == [f"z{i}" for i in range(k)]
+    if k < 2 or not names_ok or (labeled and not offset):
+        form = "label,z0,...,z{K-1}" if labeled else "[label,]z0,...,z{K-1}"
+        raise ParseError(f"header must be {form} with K >= 2, got {header!r}", line=1)
+    width = k + offset
+    labels: list[int] = []
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise InconsistentWidth(f"expected {width} fields, got {len(row)}", line=lineno)
+        if offset:
+            try:
+                label = int(row[0])
+            except ValueError:
+                raise ParseError(f"bad label {row[0]!r}", line=lineno) from None
+            if not 0 <= label < k:
+                raise LabelOutOfRange(f"line {lineno}: label {label} outside [0, {k})")
+            labels.append(label)
+        try:
+            values = [float(v) for v in row[offset:]]
+        except ValueError:
+            raise ParseError(f"bad score value in {row[offset:]!r}", line=lineno) from None
+        if not all(math.isfinite(v) for v in values):
+            raise ParseError("non-finite score value", line=lineno)
+        rows.append(values)
+    logits = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, k))
+    return logits, np.asarray(labels, dtype=np.int64) if offset else None

@@ -80,6 +80,41 @@ class TestTransform:
         assert out == ""
 
 
+# Inputs that ended in a traceback (exit 1) before the parser mapped them
+# to ParseError, with the line of the record.
+MALFORMED_BYTES = {
+    "field-over-limit": (b"label,z0,z1\n0,1.0," + b"1" * 140_000 + b"\n", 2),
+    "finite-field-over-limit": (b"label,z0,z1\n0,1.0,0." + b"0" * 140_000 + b"1\n", 2),
+    "not-utf8": (b"label,z0,z1\n0,1.0,2.0\n\xff\n", 3),
+    "not-utf8-in-value": (b"label,z0,z1\n0,1.0,2.0\n1,\xe9,2.0\n", 3),
+}
+
+
+@pytest.mark.parametrize("data, line", MALFORMED_BYTES.values(), ids=list(MALFORMED_BYTES))
+class TestMalformedBytesExit2:
+    def test_calibrate(self, tmp_path, capsys, data, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        code = main(
+            ["calibrate", "--input", str(path), "--score", "sparsemax", "--alpha", "0.1",
+             "--out", str(tmp_path / "pred.json")]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {line}: ")
+        assert not (tmp_path / "pred.json").exists()
+
+    def test_transform(self, monkeypatch, capsys, data, line):
+        # a byte stream decoded strictly, as the interpreter's stdin is
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code = main(["transform", "--gamma", "1.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {line}: ")
+
+
 class TestCalibrateEvaluate:
     def test_calibrate_then_evaluate(self, tmp_path, dataset_csv, capsys):
         pred_path = str(tmp_path / "pred.json")

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -24,6 +25,7 @@ from entconform import (
 )
 from entconform.harness import report_json, run_sweep
 
+from oracles import read_logits_csv_per_row
 from synth import make_task, write_dataset_csv
 
 
@@ -39,7 +41,10 @@ class TestLoadDataset:
         assert data.n == 2
         assert data.num_classes == 2
         np.testing.assert_array_equal(data.labels, [1, 0])
-        np.testing.assert_allclose(data.logits, [[0.5, -0.5], [1.25, 3.0]])
+        np.testing.assert_array_equal(data.logits, [[0.5, -0.5], [1.25, 3.0]])
+        # numpy's reductions sum in an order that depends on memory layout
+        assert data.logits.dtype == np.float64 and data.logits.flags.c_contiguous
+        assert data.labels.dtype == np.int64
 
     def test_row_order_preserved(self, tmp_path):
         rows = "".join(f"0,{i}.0,0.0\n" for i in range(20))
@@ -82,6 +87,137 @@ class TestLoadDataset:
     def test_missing_file(self):
         with pytest.raises(ParseError):
             load_dataset("/nonexistent/nowhere.csv")
+
+
+
+def _outcome(parse):
+    """The bits and labels ``parse()`` returns, or its error's class, line
+    and message."""
+    try:
+        logits, labels = parse()
+    except Exception as exc:  # every parse error is compared, not raised
+        return type(exc), getattr(exc, "line", None), str(exc)
+    assert logits.dtype == np.float64 and logits.flags.c_contiguous
+    bits = (logits.shape, logits.view(np.int64).tobytes())
+    if labels is None:
+        return bits, None
+    assert labels.dtype == np.int64
+    return bits, labels.tolist()
+
+
+_ODD_TOKENS = (
+    "1_0", "\uff11.\uff15", "\u0663", "nan", "inf", "-inf", "1e309", "-0.0", "5e-324",
+    "1e-400", "+1.5", ".5", "5.", " 2.5 ", "\t1", "0x10", "1d5", "", " ", "1.0\x00",
+    "\u20281.0", "2\x1c", "\x1f2", "\x1d", "\xa03", "\u30002\x85", "'1'", "1 0", "NaN", "Infinity",
+)
+_ODD_LABELS = ("3.0", "3_0", "\u0663", "+3", " 1 ", "-0", "00", "-1", "1e0", "", "9" * 5000)
+_ODD_LINES = ("", " ", "\t", "#", "# 0,1,2", ",", ",,", '"', '""')
+
+
+def _random_csv(rng, labeled: bool, k: int) -> list:
+    lines = []
+    for _ in range(rng.integers(0, 9)):
+        label = str(rng.integers(0, k)) if labeled else None
+        values = [repr(float(v)) for v in rng.normal(size=k) * 10.0 ** rng.integers(-8, 8, k)]
+        roll = rng.random()
+        if roll < 0.1:
+            values[rng.integers(k)] = str(rng.choice(_ODD_TOKENS))
+        elif roll < 0.15 and labeled:
+            label = str(rng.choice(_ODD_LABELS))
+        elif roll < 0.2:
+            lines.append(str(rng.choice(_ODD_LINES)))
+            continue
+        elif roll < 0.23:
+            values.append("")  # a trailing comma
+        elif roll < 0.26:
+            j = rng.integers(k)
+            values[j] = f'"{values[j]}"' if rng.random() < 0.5 else f'"{values[j]}\n"'
+        lines.append(",".join(([label] if labeled else []) + values))
+    return lines
+
+
+class TestParserMatchesPerRowReference:
+    """The block parser against the per-row parser it replaced
+    (``oracles.read_logits_csv_per_row``), on the same text, with blocks
+    of 1 to 3 rows so that errors fall on block edges."""
+
+    HEADERS = {True: "label,z0,z1,z2", False: "z0,z1,z2"}
+    FIXED = (
+        [],
+        ["", "0,1.0,2.0,3.0", "", "   ", "1,1,2,3"],
+        ["0,1.0,2.0,3.0", "#0,1,2,3"],
+        ["0,1.0,2.0,3.0", '1,"4.0",5.0,6.0', "2,7.0,8.0,9.0"],
+        ['0,"1.0', '",2.0,3.0', "1,4.0,5.0,6.0", "2,7.0,x,9.0"],
+        ["0,1.0,2.0,3.0,", "1,1.0,2.0,3.0"],
+        ["0,-0.0,5e-324,1e-400", "1,1e309,0,0"],
+        ["3.0,1,2,3"], ["3_0,1,2,3"], ["\u0663,1,2,3"], ["+2,1,2,3"], ["3,1,2,3"],
+        ["0,1_0,2,3", "1,\uff11.\uff15,2,3", "2,\u0663,2,3"],
+        ["0,1,2,3", "x,nan,2,3"], ["0,1,2,3", "1,nan,2,3,4"],
+        ["0,1,2", "1,1,2,3", "1,1,2,3,4"],
+        ["0,1,2,3"] * 7 + ["0,1,2,nan"],
+    )
+
+    @pytest.fixture(params=[1, 2, 3, None], ids=["rows1", "rows2", "rows3", "default"])
+    def block_rows(self, request):
+        """Block size in rows (None: the package's own)."""
+        return request.param
+
+    def check(self, lines, labeled, ending, block_rows, monkeypatch, tmp_path):
+        text = ending.join([self.HEADERS[labeled], *lines]) + ending
+        width = 4 if labeled else 3
+        if block_rows is not None:
+            monkeypatch.setattr(harness_mod, "_BLOCK_CELLS", block_rows * width)
+
+        def stream():  # how transform reads stdin
+            return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+        expected = _outcome(lambda: read_logits_csv_per_row(stream()))
+        assert _outcome(lambda: harness_mod._read_logits_csv(stream())) == expected
+        if labeled:
+            path = tmp_path / "d.csv"
+            path.write_bytes(text.encode())
+
+            def reference():
+                with open(path, encoding="utf-8", newline="") as fh:
+                    return read_logits_csv_per_row(fh, labeled=True)
+
+            def loaded():
+                data = load_dataset(str(path))
+                return data.logits, data.labels
+
+            assert _outcome(loaded) == _outcome(reference)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "bare"])
+    def test_fixed_inputs(self, labeled, ending, block_rows, monkeypatch, tmp_path):
+        for lines in self.FIXED:
+            if not labeled:
+                lines = [line.split(",", 1)[-1] for line in lines]
+            self.check(lines, labeled, ending, block_rows, monkeypatch, tmp_path)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "bare"])
+    def test_random_inputs(self, labeled, ending, block_rows, monkeypatch, tmp_path):
+        rng = np.random.default_rng(14 + 2 * labeled + len(ending))
+        for _ in range(60):
+            lines = _random_csv(rng, labeled, 3)
+            self.check(lines, labeled, ending, block_rows, monkeypatch, tmp_path)
+
+    def test_every_token_alone(self, block_rows, monkeypatch, tmp_path):
+        for token in _ODD_TOKENS:
+            self.check([f"0,1.0,{token},2.0"], True, "\n", block_rows, monkeypatch, tmp_path)
+        for label in _ODD_LABELS:
+            self.check([f"{label},1.0,2.0,3.0"], True, "\n", block_rows, monkeypatch, tmp_path)
+
+    def test_large_file_is_bit_identical(self, tmp_path):
+        data = make_task(700, num_classes=37, seed=3, radius=4.0, align=0.8)
+        path = str(tmp_path / "big.csv")
+        write_dataset_csv(path, data)
+        with open(path, encoding="utf-8", newline="") as fh:
+            logits, labels = read_logits_csv_per_row(fh, labeled=True)
+        loaded = load_dataset(path)
+        assert loaded.logits.tobytes() == logits.tobytes()
+        np.testing.assert_array_equal(loaded.labels, labels)
 
 
 class TestConfig:

@@ -300,6 +300,29 @@ class TestVectorizedAgainstScalar:
             scores_mod._CHUNK_CELLS = old
 
 
+    @pytest.mark.parametrize("gamma", [1.1, 1.5, 1.9])
+    def test_entmax_true_label_blocks_change_no_bit(self, gamma, monkeypatch):
+        import entconform.scores as scores_mod
+
+        rng = np.random.default_rng(61)
+        Z = np.concatenate([rng.normal(size=(25, 57)), rng.integers(0, 4, (25, 57))])
+        labels = rng.integers(0, 57, size=50)
+        kind = ScoreKind.entmax(gamma)
+        whole = true_label_scores(Z, labels, kind)
+        sorts = []
+        sort = scores_mod.descending_order
+
+        def counted_sort(z):
+            sorts.append(z.shape[0])
+            return sort(z)
+
+        monkeypatch.setattr(scores_mod, "descending_order", counted_sort)
+        monkeypatch.setattr(scores_mod, "_CHUNK_CELLS", 7 * 57)
+        blocked = true_label_scores(Z, labels, kind)
+        assert sorts == [7] * 7 + [1]
+        assert blocked.tobytes() == whole.tobytes()
+
+
 class TestFamilyProperties:
     @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
     def test_sparsemax_sorted_row_nonnegative_and_nondecreasing(self, offset):
