@@ -41,9 +41,11 @@ __all__ = [
     "true_label_scores",
 ]
 
-# Row-block size cap, in cells: rows * K * K for the full entmax score rows,
-# rows * K for the rank search and the true-label entmax scores.
-_CHUNK_CELLS = 4_000_000
+# Row-block size cap, in cells: rows * K for each block of sorted rows and
+# rows * K * K for the gap matrices of the full entmax score rows.  It bounds
+# the largest float temporary a block holds to 8 MB, whatever n is (for the
+# full entmax rows while K <= 1024, since a block holds at least one row).
+_CHUNK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -258,15 +260,18 @@ def score_raps(z, y: int, params: RapsParams, u: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sorted_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared sort: returns (order, sorted rows, rank position per label)."""
-    order = descending_order(Z)
-    zs = np.take_along_axis(Z, order, axis=1)
-    ranks = np.empty_like(order)
-    np.put_along_axis(
-        ranks, order, np.broadcast_to(np.arange(Z.shape[1]), Z.shape).copy(), axis=1
-    )
-    return order, zs, ranks
+def _sorted_blocks(Z: np.ndarray):
+    """The one sort of every rank-order score: yields ``(rows, order, sorted
+    rows, rank position per label)`` for each block of at most
+    ``_CHUNK_CELLS // K`` rows, ``rows`` being the block's slice of ``Z``."""
+    n, k = Z.shape
+    block = max(1, _CHUNK_CELLS // k)
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        order = descending_order(Z[rows])
+        ranks = np.empty_like(order)
+        np.put_along_axis(ranks, order, np.arange(k), axis=1)
+        yield rows, order, np.take_along_axis(Z[rows], order, axis=1), ranks
 
 
 def _sparsemax_all_sorted(zs: np.ndarray) -> np.ndarray:
@@ -398,63 +403,78 @@ def _raps_sorted(Z: np.ndarray, order: np.ndarray, params: RapsParams, u) -> np.
     penalty = params.lambda_reg * np.maximum(
         0.0, np.arange(1, Z.shape[1] + 1) - params.k_reg
     )
-    return (csum - ps) + _resolve_u(Z.shape[0], u).reshape(-1, 1) * ps + penalty
+    return (csum - ps) + u[:, None] * ps + penalty
 
 
 def _resolve_u(n: int, u) -> np.ndarray:
-    if u is None:
-        u = 1.0
-    arr = np.broadcast_to(np.asarray(u, dtype=np.float64), (n,)).copy()
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise InvalidInput("u must lie in [0, 1]")
+    """The RAPS weights of n rows from ``u``: None (every weight 1), a
+    scalar or an n-vector, with every weight in [0, 1]."""
+    message = f"u must be a scalar or a vector of {n} weights in [0, 1]"
+    try:
+        arr = np.asarray(1.0 if u is None else u, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise InvalidInput(message) from err
+    if arr.ndim == 0:
+        arr = np.full(n, arr)
+    if arr.shape != (n,) or not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise InvalidInput(message)
     return arr
 
 
-def _rank_order_scores(Z: np.ndarray, kind: ScoreKind, u) -> tuple[np.ndarray, np.ndarray]:
-    """``(s, ranks)`` for every kind but inv-prob: ``s[i, r]`` is the score
-    of row i's label at 0-based rank r, ``ranks[i, y]`` the rank of label y."""
-    order, zs, ranks = _sorted_rows(Z)
+def _rank_order_scores(Z, order, zs, kind: ScoreKind, u, at=None) -> np.ndarray:
+    """One block's scores in rank order, for every kind but inv-prob:
+    ``s[i, j]`` is the score of row i's label at the 0-based rank ``at[i, j]``
+    (at every rank when ``at`` is None).  ``Z``, ``order``, ``zs`` and ``u``
+    are the block's rows, its order, its sorted rows and its RAPS weights."""
+    if kind.variant == "entmax":
+        delta = 1.0 / (kind.gamma - 1.0)
+        return _entmax_all_sorted(zs, delta) if at is None else _entmax_at(zs, at, delta)
     if kind.variant == "raps":
         s = _raps_sorted(Z, order, kind.raps_params, u)
     elif kind.variant == "sparsemax":
         s = _sparsemax_all_sorted(zs)
-    elif kind.variant == "log_margin":
-        s = zs[:, :1] - zs
     else:
-        s = _entmax_all_sorted(zs, 1.0 / (kind.gamma - 1.0))
-    return s, ranks
+        s = zs[:, :1] - zs
+    return s if at is None else np.take_along_axis(s, at, axis=1)
 
 
 def all_label_scores(Z, kind: ScoreKind, u=None) -> np.ndarray:
     """Score of every (instance, label) pair; shape (n, K).
 
-    ``u`` applies to the RAPS kind only: a scalar or per-instance array of
-    randomization weights (default 1, the deterministic variant).
+    ``u`` is used by the RAPS kind only: a scalar or per-instance array of
+    randomization weights in [0, 1] (default 1, the deterministic
+    variant).  Every kind rejects any other ``u``.
     """
     Z = _as_logit_rows(Z)
+    u = _resolve_u(Z.shape[0], u)
     if kind.variant == "inv_prob":
         return 1.0 - _softmax_rows(Z)
-    s, ranks = _rank_order_scores(Z, kind, u)
-    return np.take_along_axis(s, ranks, axis=1)
+    out = np.empty(Z.shape)
+    for rows, order, zs, ranks in _sorted_blocks(Z):
+        s = _rank_order_scores(Z[rows], order, zs, kind, u[rows])
+        out[rows] = np.take_along_axis(s, ranks, axis=1)
+    return out
 
 
 def threshold_masks(Z, kind: ScoreKind, q: float, u=None) -> np.ndarray:
     """``all_label_scores(Z, kind, u) <= q`` as a bool (n, K) mask, bit for bit.
 
-    For the general-gamma kind each row's set is found by a rank search
-    (:func:`_entmax_prefix`) in blocks of rows, so no O(K^2) score matrix
-    is built; every other kind compares its full score rows.
+    Each block of sorted rows is compared in rank order and un-sorted as
+    bools.  For the general-gamma kind each row's set is found by a rank
+    search (:func:`_entmax_prefix`), so no O(K^2) score matrix is built.
+    ``u`` is checked as in :func:`all_label_scores`, for every kind.
     """
     Z = _as_logit_rows(Z)
-    if kind.variant != "entmax":
-        return all_label_scores(Z, kind, u=u) <= q
-    delta = 1.0 / (kind.gamma - 1.0)
+    u = _resolve_u(Z.shape[0], u)
+    if kind.variant == "inv_prob":
+        return 1.0 - _softmax_rows(Z) <= q
     mask = np.empty(Z.shape, dtype=bool)
-    block = max(1, _CHUNK_CELLS // Z.shape[1])
-    for start in range(0, Z.shape[0], block):
-        _, zs, ranks = _sorted_rows(Z[start : start + block])
-        prefix = _entmax_prefix(zs, delta, q)
-        mask[start : start + block] = np.take_along_axis(prefix, ranks, axis=1)
+    for rows, order, zs, ranks in _sorted_blocks(Z):
+        if kind.variant == "entmax":
+            inside = _entmax_prefix(zs, 1.0 / (kind.gamma - 1.0), q)
+        else:
+            inside = _rank_order_scores(Z[rows], order, zs, kind, u[rows]) <= q
+        mask[rows] = np.take_along_axis(inside, ranks, axis=1)
     return mask
 
 
@@ -465,7 +485,8 @@ def true_label_scores(Z, labels, kind: ScoreKind, u=None) -> np.ndarray:
     :func:`all_label_scores`, so calibration and the prediction sets agree
     bit for bit: in rank order, before the un-sort, or for the
     general-gamma kind by norming only the instance's own gap vector with
-    the same kernel, which avoids the O(K^2) all-label cost.
+    the same kernel, which avoids the O(K^2) all-label cost.  ``u`` is
+    checked as in :func:`all_label_scores`, for every kind.
     """
     Z = _as_logit_rows(Z)
     labels = np.asarray(labels)
@@ -473,17 +494,11 @@ def true_label_scores(Z, labels, kind: ScoreKind, u=None) -> np.ndarray:
         raise InvalidInput("labels must be a vector matching the instance count")
     if np.any(labels < 0) or np.any(labels >= Z.shape[1]):
         raise LabelOutOfRange("label index outside the class range")
-    rows = np.arange(Z.shape[0])
+    u = _resolve_u(Z.shape[0], u)
     if kind.variant == "inv_prob":
-        return 1.0 - _softmax_rows(Z)[rows, labels]
-    if kind.variant == "entmax":
-        delta = 1.0 / (kind.gamma - 1.0)
-        out = np.empty(Z.shape[0])
-        block = max(1, _CHUNK_CELLS // Z.shape[1])
-        for start in range(0, Z.shape[0], block):
-            _, zs, ranks = _sorted_rows(Z[start : start + block])
-            ry = np.take_along_axis(ranks, labels[start : start + block, None], axis=1)
-            out[start : start + block] = _entmax_at(zs, ry, delta)[:, 0]
-        return out
-    s, ranks = _rank_order_scores(Z, kind, u)
-    return s[rows, ranks[rows, labels]]
+        return 1.0 - _softmax_rows(Z)[np.arange(Z.shape[0]), labels]
+    out = np.empty(Z.shape[0])
+    for rows, order, zs, ranks in _sorted_blocks(Z):
+        at = np.take_along_axis(ranks, labels[rows, None], axis=1)
+        out[rows] = _rank_order_scores(Z[rows], order, zs, kind, u[rows], at)[:, 0]
+    return out

@@ -4,7 +4,9 @@ import warnings
 
 import pytest
 
-from entconform import PredictionSet, ScoreKind, calibrate, scores, set_masks, tune_gamma
+from entconform import (
+    PredictionSet, ScoreKind, calibrate, scores, set_masks, tune_gamma, tune_raps
+)
 from entconform.cli import main
 from entconform.tuning import DEFAULT_GAMMA_GRID
 
@@ -460,6 +462,37 @@ class TestSweepCommand:
         cfg = {
             "input_path": dataset_csv,
             "methods": [{"score": "entmax", "gamma": 1.5}, {"score": "entmax", "tune": True}],
+            "alphas": [0.1, 0.2],
+            "n_splits": 2,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+
+    def test_rank_order_sets_build_no_all_label_scores(
+        self, tmp_path, dataset_csv, capsys, monkeypatch
+    ):
+        # every kind's sets threshold its rank-order rows block by block; the
+        # all-label score matrix is a public route that no set goes through
+        def refuse(*args, **kwargs):
+            raise AssertionError("built an all-label score matrix")
+
+        monkeypatch.setattr(scores, "all_label_scores", refuse)
+        data = make_task(400, num_classes=20, seed=9)
+        cal, test = data.subset(range(200)), data.subset(range(200, 400))
+        raps = {"score": "raps", "lambda_reg": 0.1, "k_reg": 2}
+        methods = [{"score": "sparsemax"}, {"score": "log_margin"}, raps, {**raps, "randomized": True}]
+        for method in methods:
+            set_masks(test.logits, calibrate(cal, ScoreKind.from_dict(method), 0.1))
+        tune_raps(cal, 0.1, k_grid=(1, 5))
+        cfg = {
+            "input_path": dataset_csv,
+            "methods": [
+                *methods[:3],
+                {**methods[3], "name": "raps-randomized"},
+                {"score": "raps", "tune": True, "k_grid": [1, 2], "name": "raps-tuned"},
+            ],
             "alphas": [0.1, 0.2],
             "n_splits": 2,
         }

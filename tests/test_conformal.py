@@ -403,11 +403,21 @@ class TestRankSearch:
                 assert sum(seen) <= np.count_nonzero(near.any(axis=1))
 
     def test_row_blocks_change_no_bit(self, monkeypatch):
+        # every rank-order kind's sets, the randomized RAPS one with a
+        # weight per row among them, are the same in one block or in eight
         rng = np.random.default_rng(6)
         Z = rng.normal(size=(50, 57))
         cal = LabeledLogitDataset(Z, rng.integers(0, 57, 50))
-        pred = calibrate(cal, ScoreKind.entmax(1.3), 0.3)
-        whole = set_masks(Z, pred)
+        u = rng.uniform(size=50)
+        kinds = [
+            ScoreKind.sparsemax(),
+            ScoreKind.log_margin(),
+            ScoreKind.raps(RapsParams(0.01, 2)),
+            ScoreKind.raps(RapsParams(0.01, 2, randomized=True)),
+            *(ScoreKind.entmax(gamma) for gamma in (1.1, 1.5, 1.9)),
+        ]
+        preds = [calibrate(cal, kind, 0.3) for kind in kinds]
+        wholes = [set_masks(Z, pred, u) for pred in preds]
         sorts = []
         sort = scores.descending_order
 
@@ -417,9 +427,12 @@ class TestRankSearch:
 
         monkeypatch.setattr(scores, "descending_order", counted_sort)
         monkeypatch.setattr(scores, "_CHUNK_CELLS", 7 * 57)
-        np.testing.assert_array_equal(set_masks(Z, pred), whole)
-        assert sorts == [7] * 7 + [1]
-        np.testing.assert_array_equal(whole, all_label_scores(Z, pred.score_kind) <= pred.q_hat)
+        for pred, whole in zip(preds, wholes):
+            sorts.clear()
+            np.testing.assert_array_equal(set_masks(Z, pred, u), whole)
+            assert sorts == [7] * 7 + [1], pred.score_kind
+            full = all_label_scores(Z, pred.score_kind, u=u)
+            np.testing.assert_array_equal(whole, full <= pred.q_hat)
 
     def test_certificate_catches_a_non_monotone_kernel(self, monkeypatch):
         # lower every odd rank's score by 4 ulps.  In [3, 2, 1, 1] ranks 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from entconform import (
     score_sparsemax,
     true_label_scores,
 )
+from entconform.scores import threshold_masks
 
 from oracles import delta_norm, gap_vector
 
@@ -142,6 +144,21 @@ class TestRapsScore:
         params = RapsParams(lambda_reg=0.0, k_reg=1)
         with pytest.raises(InvalidInput):
             score_raps(Z5, 0, params, u=1.5)
+
+    @pytest.mark.parametrize("u", [[0.5] * 3, np.ones((5, 1)), "half"], ids=["short", "column", "text"])
+    @pytest.mark.parametrize(
+        "kind", [ScoreKind.raps(RapsParams(0.01, 2)), ScoreKind.sparsemax()], ids=["raps", "sparsemax"]
+    )
+    def test_misshaped_u_rejected(self, kind, u):
+        # u is a scalar or one weight per row, checked by every entry point
+        # for every kind, not left to fail in numpy's broadcasting
+        Z = np.zeros((5, 4))
+        with pytest.raises(InvalidInput):
+            all_label_scores(Z, kind, u=u)
+        with pytest.raises(InvalidInput):
+            true_label_scores(Z, [0] * 5, kind, u=u)
+        with pytest.raises(InvalidInput):
+            threshold_masks(Z, kind, 0.5, u=u)
 
     def test_k_reg_beyond_classes(self):
         params = RapsParams(lambda_reg=0.1, k_reg=9)
@@ -300,15 +317,33 @@ class TestVectorizedAgainstScalar:
             scores_mod._CHUNK_CELLS = old
 
 
-    @pytest.mark.parametrize("gamma", [1.1, 1.5, 1.9])
-    def test_entmax_true_label_blocks_change_no_bit(self, gamma, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind, per_row_u",
+        [
+            (ScoreKind.sparsemax(), False),
+            (ScoreKind.log_margin(), False),
+            (ScoreKind.raps(RapsParams(0.01, 2)), False),
+            (ScoreKind.raps(RapsParams(0.01, 2, randomized=True)), True),
+            *((ScoreKind.entmax(gamma), False) for gamma in (1.1, 1.5, 1.9)),
+        ],
+        ids=["sparsemax", "log_margin", "raps", "raps-randomized", "1.1", "1.5", "1.9"],
+    )
+    def test_entmax_true_label_blocks_change_no_bit(self, kind, per_row_u, monkeypatch):
+        # every rank-order kind gives the same bits through every entry
+        # point whether its rows are sorted in one block or in eight
         import entconform.scores as scores_mod
 
         rng = np.random.default_rng(61)
         Z = np.concatenate([rng.normal(size=(25, 57)), rng.integers(0, 4, (25, 57))])
         labels = rng.integers(0, 57, size=50)
-        kind = ScoreKind.entmax(gamma)
-        whole = true_label_scores(Z, labels, kind)
+        u = rng.uniform(size=50) if per_row_u else None
+        q = float(np.median(true_label_scores(Z, labels, kind, u=u)))
+        calls = {
+            "all_label_scores": lambda: all_label_scores(Z, kind, u=u),
+            "true_label_scores": lambda: true_label_scores(Z, labels, kind, u=u),
+            "threshold_masks": lambda: threshold_masks(Z, kind, q, u=u),
+        }
+        whole = {name: call() for name, call in calls.items()}
         sorts = []
         sort = scores_mod.descending_order
 
@@ -318,9 +353,40 @@ class TestVectorizedAgainstScalar:
 
         monkeypatch.setattr(scores_mod, "descending_order", counted_sort)
         monkeypatch.setattr(scores_mod, "_CHUNK_CELLS", 7 * 57)
-        blocked = true_label_scores(Z, labels, kind)
-        assert sorts == [7] * 7 + [1]
-        assert blocked.tobytes() == whole.tobytes()
+        for name, call in calls.items():
+            sorts.clear()
+            blocked = call()
+            assert sorts == [7] * 7 + [1], name
+            assert blocked.tobytes() == whole[name].tobytes(), name
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            ScoreKind.sparsemax(),
+            ScoreKind.log_margin(),
+            ScoreKind.raps(RapsParams(0.01, 5)),
+            ScoreKind.entmax(1.5),
+        ],
+        ids=["sparsemax", "log_margin", "raps", "1.5"],
+    )
+    def test_block_bounds_peak_memory(self, kind):
+        # numpy reports its buffers to tracemalloc.  Beside the 32 MB input,
+        # which the caller holds, a call keeps a few 8 MB block temporaries
+        # and its output; sorting the input whole held several 32 MB ones
+        rng = np.random.default_rng(66)
+        Z = rng.normal(size=(4000, 1000))
+        labels = rng.integers(0, 1000, size=4000)
+        tracemalloc.start()
+        try:
+            s = true_label_scores(Z, labels, kind)
+            true_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            threshold_masks(Z, kind, float(np.median(s)))
+            mask_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert true_peak <= 80 * 2**20
+        assert mask_peak <= 80 * 2**20
 
 
 class TestFamilyProperties:
