@@ -11,11 +11,8 @@ from .activations import (
     EntmaxConfig,
     SparseDistribution,
     entmax,
-    entmax_objective,
-    scale,
     softmax,
     sparsemax,
-    tsallis_entropy,
 )
 from .conformal import (
     CalibratedPredictor,
@@ -23,10 +20,8 @@ from .conformal import (
     PredictionSet,
     calibrate,
     conformal_quantile,
-    predict_set,
     predict_sets,
     set_masks,
-    support_set_via_entmax,
     support_sets_via_entmax,
 )
 from .errors import (
@@ -64,18 +59,11 @@ from .metrics import (
     empirical_coverage,
     singleton_stats,
     size_stratified_coverage,
-    sscv,
 )
 from .scores import (
     RapsParams,
     ScoreKind,
     all_label_scores,
-    rank_of_label,
-    score_entmax,
-    score_inv_prob,
-    score_log_margin,
-    score_raps,
-    score_sparsemax,
     true_label_scores,
 )
 from .tuning import (

@@ -26,11 +26,8 @@ __all__ = [
     "SparseDistribution",
     "descending_order",
     "entmax",
-    "entmax_objective",
-    "scale",
     "softmax",
     "sparsemax",
-    "tsallis_entropy",
 ]
 
 # Ramp arguments at or below this (relative) level count as zero when
@@ -108,18 +105,6 @@ def descending_order(z: np.ndarray) -> np.ndarray:
     return np.argsort(-z, axis=-1, kind="stable")
 
 
-def scale(z, beta: float) -> np.ndarray:
-    """Multiply scores by an inverse temperature ``beta >= 0``.
-
-    ``beta = 0`` is legal and yields the all-zeros vector (the uniform
-    limit of any member of the family).
-    """
-    z = _as_logits(z)
-    if not np.isfinite(beta) or beta < 0.0:
-        raise InvalidInput(f"beta must be finite and nonnegative, got {beta}")
-    return beta * z
-
-
 def softmax(z) -> SparseDistribution:
     """Dense exponential normalization, stabilized by max subtraction."""
     z = _as_logits(z)
@@ -171,55 +156,63 @@ def _entmax_bisect_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise gamma-entmax for 1 < gamma < 2 by threshold bisection.
 
-    Solves ``sum_j relu((gamma-1) z_j - tau) ** (1/(gamma-1)) = 1`` per
-    row.  The bracket is ``[(gamma-1) max(z) - 1, (gamma-1) max(z)]``: the
-    lower end makes the sum at least 1 (the top term alone contributes 1),
-    the upper end gives sum 0.  Rows stop once |sum - 1| <= bisect_tol, or
-    after ``_MAX_ITERS`` halvings.  Residual mass is renormalized over the
-    support.
+    Solves ``sum_j relu(x_j - t) ** (1/(gamma-1)) = 1`` per row for the
+    shifted scores ``x = (gamma-1) z - (gamma-1) max(z)``, whose maximum is
+    0.  The bracket is ``[-1, 0]``, exact at any magnitude of z: the lower
+    end makes the sum at least 1 (the top term alone contributes 1), the
+    upper end gives sum 0.  A row stops once |sum - 1| <= bisect_tol, or
+    once a halving leaves its bracket unchanged (the midpoint rounds to an
+    end, so every later step would repeat it), or after ``_MAX_ITERS``
+    halvings.  Residual mass is renormalized over the support.
 
-    Returns ``(probs, tau, support_mask)``.
+    Returns ``(probs, tau, support_mask)`` with ``tau = t + (gamma-1) max(z)``,
+    the threshold on ``(gamma-1) z``.
     """
     delta = 1.0 / (gamma - 1.0)
     X = (gamma - 1.0) * Z
     n = X.shape[0]
 
     xmax = X.max(axis=1)
-    lo = xmax - 1.0
-    hi = xmax.copy()
-    tau = 0.5 * (lo + hi)
-    done = np.zeros(n, dtype=bool)
-    exhausted_sum = np.ones(n)
+    Xs = X - xmax[:, None]
+    lo = np.full(n, -1.0)
+    hi = np.zeros(n)
+    tau = np.full(n, -0.5)
+    converged = np.zeros(n, dtype=bool)
+    stopped = np.zeros(n, dtype=bool)
+    last_sum = np.ones(n)
 
     for _ in range(_MAX_ITERS):
-        active = np.flatnonzero(~done)
+        active = np.flatnonzero(~stopped)
         if active.size == 0:
             break
-        mid = 0.5 * (lo[active] + hi[active])
-        sums = np.power(np.maximum(X[active] - mid[:, None], 0.0), delta).sum(axis=1)
+        lo_a, hi_a = lo[active], hi[active]
+        mid = 0.5 * (lo_a + hi_a)
+        sums = np.power(np.maximum(Xs[active] - mid[:, None], 0.0), delta).sum(axis=1)
         hit = np.abs(sums - 1.0) <= bisect_tol
         tau[active] = mid
-        exhausted_sum[active] = sums
-        done[active[hit]] = True
+        last_sum[active] = sums
+        converged[active] = hit
         go_lo = sums >= 1.0
-        lo[active] = np.where(go_lo, mid, lo[active])
-        hi[active] = np.where(go_lo, hi[active], mid)
+        lo[active] = np.where(go_lo, mid, lo_a)
+        hi[active] = np.where(go_lo, hi_a, mid)
+        frozen = np.where(go_lo, mid == lo_a, mid == hi_a)
+        stopped[active] = hit | frozen
 
-    if not done.all():
-        bad = np.abs(exhausted_sum[~done] - 1.0) > 1e-4
+    if not converged.all():
+        bad = np.abs(last_sum[~converged] - 1.0) > 1e-4
         if bad.any():
             raise NonConvergence(
-                f"bisection exhausted {_MAX_ITERS} iterations with "
-                f"|sum - 1| = {np.abs(exhausted_sum[~done][bad] - 1.0).max():.3e}"
+                f"bisection stopped within {_MAX_ITERS} iterations with "
+                f"|sum - 1| = {np.abs(last_sum[~converged][bad] - 1.0).max():.3e}"
             )
 
-    ramp = X - tau[:, None]
+    ramp = Xs - tau[:, None]
     eps = _SUPPORT_EPS * np.maximum(1.0, np.abs(X).max(axis=1))
     support = ramp > eps[:, None]
     support[np.arange(n), X.argmax(axis=1)] = True
     probs = np.where(support, np.power(np.maximum(ramp, 0.0), delta), 0.0)
     probs /= probs.sum(axis=1, keepdims=True)
-    return probs, tau, support
+    return probs, tau + xmax, support
 
 
 def entmax(z, cfg: EntmaxConfig) -> SparseDistribution:
@@ -248,33 +241,3 @@ def entmax(z, cfg: EntmaxConfig) -> SparseDistribution:
         tau=float(tau[0]),
         gamma=cfg.gamma,
     )
-
-
-def tsallis_entropy(p, gamma: float) -> float:
-    """Generalized entropy of order ``gamma`` (Shannon entropy at 1).
-
-    For gamma != 1 this is ``(1 - sum p_j**gamma) / (gamma * (gamma-1))``;
-    within 1e-12 of gamma = 1 the Shannon branch is used, with
-    ``0 * log 0 := 0``.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise InvalidInput(f"gamma must be positive, got {gamma}")
-    if np.any(p < -1e-9):
-        raise InvalidInput("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise InvalidInput("probabilities must sum to one")
-    q = np.maximum(p, 0.0)
-    if abs(gamma - 1.0) < 1e-12:
-        nz = q[q > 0.0]
-        return float(-(nz * np.log(nz)).sum())
-    return float((1.0 - np.power(q, gamma).sum()) / (gamma * (gamma - 1.0)))
-
-
-def entmax_objective(p, z, gamma: float) -> float:
-    """Value of ``p . z + H_gamma(p)``, the quantity gamma-entmax maximizes."""
-    p = np.asarray(p, dtype=np.float64)
-    z = _as_logits(z)
-    if p.shape != z.shape:
-        raise InvalidInput(f"shape mismatch: {p.shape} vs {z.shape}")
-    return float(p @ z + tsallis_entropy(p, gamma))

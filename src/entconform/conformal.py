@@ -9,8 +9,8 @@ the true label with probability at least 1 - alpha.
 For the rank-gap score family this calibration has a second reading: the
 set ``{y : score(z, y) <= q_hat}`` is exactly the support of gamma-entmax
 applied to ``beta * z`` with ``beta = delta / q_hat``, so ``q_hat``
-determines a temperature.  :func:`support_set_via_entmax` computes the
-set from that side (through the activation, not the score inequality) so
+determines a temperature.  :func:`support_sets_via_entmax` computes the
+sets from that side (through the activation, not the score inequality) so
 the two routes can check each other.
 """
 
@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import (
-    _as_logit_rows,
-    _as_logits,
-    _entmax_bisect_batch,
-    _sparsemax_batch,
-)
+from .activations import _as_logit_rows, _entmax_bisect_batch, _sparsemax_batch
 from .errors import (
     DimensionMismatch,
     EmptyCalibration,
@@ -35,7 +30,7 @@ from .errors import (
     LabelOutOfRange,
     checked,
 )
-from .scores import ScoreKind, threshold_masks, true_label_scores
+from .scores import ScoreKind, _as_labels, threshold_masks, true_label_scores
 
 __all__ = [
     "CalibratedPredictor",
@@ -43,10 +38,8 @@ __all__ = [
     "PredictionSet",
     "calibrate",
     "conformal_quantile",
-    "predict_set",
     "predict_sets",
     "set_masks",
-    "support_set_via_entmax",
     "support_sets_via_entmax",
 ]
 
@@ -78,7 +71,7 @@ class LabeledLogitDataset:
 
     def __post_init__(self):
         logits = np.asarray(self.logits, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _as_labels(self.labels)
         if logits.ndim != 2 or logits.shape[1] < 2:
             raise InvalidInput("logits must be a 2-D array with at least 2 classes")
         if labels.shape != (logits.shape[0],):
@@ -238,15 +231,9 @@ def set_masks(Z, pred: CalibratedPredictor, u=None) -> np.ndarray:
     return threshold_masks(Z, kind, pred.q_hat, u=u)
 
 
-def predict_sets(Z, pred: CalibratedPredictor, u=None) -> list[PredictionSet]:
+def predict_sets(Z, pred: CalibratedPredictor) -> list[PredictionSet]:
     """The rows of :func:`set_masks` as one :class:`PredictionSet` each."""
-    return [PredictionSet.from_mask(row) for row in set_masks(Z, pred, u)]
-
-
-def predict_set(z, pred: CalibratedPredictor) -> PredictionSet:
-    """Prediction set for a single test score vector."""
-    z = _as_logits(z)
-    return predict_sets(z[None, :], pred)[0]
+    return [PredictionSet.from_mask(row) for row in set_masks(Z, pred)]
 
 
 _SUPPORT_BISECT_TOL = 1e-16
@@ -260,7 +247,9 @@ def support_sets_via_entmax(Z, beta: float, gamma: float) -> list[PredictionSet]
     independent route to the same sets as :func:`predict_sets` with the
     matching rank-gap kind and ``q_hat = delta / beta``.  The bisection
     tolerance is tighter than :func:`entconform.activations.entmax`'s
-    because this function exists to adjudicate set membership.
+    because this function exists to adjudicate set membership: finer than
+    the spacing of floats near 1, so a row runs until its bracket stops
+    moving.
     """
     Z = _as_logit_rows(Z)
     if not np.isfinite(beta) or beta <= 0.0:
@@ -274,9 +263,3 @@ def support_sets_via_entmax(Z, beta: float, gamma: float) -> list[PredictionSet]
     else:
         _, _, masks = _entmax_bisect_batch(Zb, gamma, _SUPPORT_BISECT_TOL)
     return [PredictionSet.from_mask(row) for row in masks]
-
-
-def support_set_via_entmax(z, beta: float, gamma: float) -> PredictionSet:
-    """Support of ``gamma-entmax(beta * z)`` for a single vector."""
-    z = _as_logits(z)
-    return support_sets_via_entmax(z[None, :], beta, gamma)[0]

@@ -16,6 +16,7 @@ import numpy as np
 
 from .conformal import PredictionSet
 from .errors import EmptyRun, InvalidInput, checked
+from .scores import _as_labels
 
 __all__ = [
     "BinStat",
@@ -27,7 +28,6 @@ __all__ = [
     "empirical_coverage",
     "singleton_stats",
     "size_stratified_coverage",
-    "sscv",
 ]
 
 
@@ -83,7 +83,7 @@ class EvaluationRun:
     covered: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _as_labels(self.labels)
         if isinstance(self.sets, np.ndarray):
             sets = self.sets
             if sets.dtype != bool or sets.ndim != 2:
@@ -174,21 +174,13 @@ def size_stratified_coverage(run: EvaluationRun, bins: SizeBins) -> list[BinStat
     return stats
 
 
-def sscv(run: EvaluationRun, bins: SizeBins) -> float:
-    """Worst deviation of any nonempty bin's coverage from 1 - alpha."""
-    return _worst_deviation(size_stratified_coverage(run, bins), run.alpha)
-
-
-def _worst_deviation(stats: list[BinStat], alpha: float) -> float:
-    return max(abs(s.coverage - (1.0 - alpha)) for s in stats if s.coverage is not None)
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """All metrics for one (method, alpha) run.
 
-    ``singleton_coverage`` is absent (None) when no singleton sets were
-    predicted.
+    ``sscv`` is the worst deviation of any nonempty size bin's coverage
+    from 1 - alpha.  ``singleton_coverage`` is absent (None) when no
+    singleton sets were predicted.
     """
 
     coverage: float
@@ -238,5 +230,7 @@ def compute_report(run: EvaluationRun, bins: SizeBins) -> MetricsReport:
         singleton_ratio=ratio,
         singleton_coverage=singleton_cov,
         stratified=tuple(stratified),
-        sscv=_worst_deviation(stratified, run.alpha),
+        sscv=max(
+            abs(s.coverage - (1.0 - run.alpha)) for s in stratified if s.coverage is not None
+        ),
     )

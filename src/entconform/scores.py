@@ -24,19 +24,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .activations import _as_logit_rows, _as_logits, descending_order
+from .activations import _as_logit_rows, descending_order
 from .errors import InvalidGamma, InvalidInput, LabelOutOfRange, checked
 
 __all__ = [
     "RapsParams",
     "ScoreKind",
     "all_label_scores",
-    "rank_of_label",
-    "score_entmax",
-    "score_inv_prob",
-    "score_log_margin",
-    "score_raps",
-    "score_sparsemax",
     "threshold_masks",
     "true_label_scores",
 ]
@@ -65,11 +59,13 @@ class RapsParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.lambda_reg) or self.lambda_reg < 0.0:
+        lambda_reg = checked(self.lambda_reg, float, "lambda_reg")
+        if not np.isfinite(lambda_reg) or lambda_reg < 0.0:
             raise InvalidInput("lambda_reg must be nonnegative")
-        if self.k_reg < 1:
+        if checked(self.k_reg, int, "k_reg") < 1:
             raise InvalidInput("k_reg must be a positive integer")
-        if self.rng_seed < 0:
+        checked(self.randomized, bool, "randomized")
+        if checked(self.rng_seed, int, "rng_seed") < 0:
             raise InvalidInput("rng_seed must be nonnegative")
 
 
@@ -184,70 +180,13 @@ class ScoreKind:
         return None
 
 
-def _check_label(y: int, k: int) -> int:
-    y = int(y)
-    if not 0 <= y < k:
-        raise LabelOutOfRange(f"label {y} outside [0, {k})")
-    return y
-
-
-def rank_of_label(z, y: int) -> int:
-    """1-based rank of label ``y`` in the descending-sorted scores.
-
-    Ties are broken by lower original index first, consistently with
-    :func:`entconform.activations.descending_order`.
-    """
-    z = _as_logits(z)
-    y = _check_label(y, z.size)
-    zy = z[y]
-    return int(1 + np.count_nonzero(z > zy) + np.count_nonzero(z[:y] == zy))
-
-
-def _score_one(z, y: int, kind: ScoreKind, u=None) -> float:
-    """One instance's score through the batch path, so both agree bit for bit."""
-    z = _as_logits(z)
-    return float(true_label_scores(z[None, :], [_check_label(y, z.size)], kind, u=u)[0])
-
-
-def score_sparsemax(z, y: int) -> float:
-    """Sum of score gaps to every label ranked above ``y`` (0 at rank 1)."""
-    return _score_one(z, y, ScoreKind.sparsemax())
-
-
-def score_entmax(z, y: int, gamma: float) -> float:
-    """delta-norm of the gap vector, ``delta = 1/(gamma-1)``.
-
-    Requires ``1 < gamma <= 2``; at gamma = 2 it routes through
-    :func:`score_sparsemax` so the two agree bit for bit.
-    """
-    if not np.isfinite(gamma) or not 1.0 < gamma <= 2.0:
-        raise InvalidGamma(f"gamma must lie in (1, 2], got {gamma}")
-    if gamma == 2.0:
-        return score_sparsemax(z, y)
-    return _score_one(z, y, ScoreKind.entmax(gamma))
-
-
-def score_log_margin(z, y: int) -> float:
-    """``max(z) - z[y]``: the gap-vector max norm, the delta -> inf limit."""
-    return _score_one(z, y, ScoreKind.log_margin())
-
-
-def score_inv_prob(z, y: int) -> float:
-    """One minus the softmax probability of ``y``."""
-    return _score_one(z, y, ScoreKind.inv_prob())
-
-
-def score_raps(z, y: int, params: RapsParams, u: float = 1.0) -> float:
-    """RAPS score: softmax mass above ``y`` plus a rank penalty.
-
-    With ``o(y)`` the rank of ``y`` and ``p_(k)`` the sorted softmax
-    probabilities, returns
-    ``sum_{k < o(y)} p_(k) + u * p_(o(y))
-    + lambda_reg * max(0, o(y) - k_reg)``.
-    ``u`` is the caller-supplied randomization weight in [0, 1]; 1 gives
-    the deterministic variant.
-    """
-    return _score_one(z, y, ScoreKind.raps(params), u=u)
+def _as_labels(labels) -> np.ndarray:
+    """``labels`` as int64, or :class:`LabelOutOfRange` if one is not a
+    whole number (a float such as ``1.0`` passes; ``0.5`` and NaN do not)."""
+    arr = np.asarray(labels)
+    if arr.dtype.kind not in "biuf" or not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
+        raise LabelOutOfRange("labels must be whole numbers")
+    return arr.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +428,7 @@ def true_label_scores(Z, labels, kind: ScoreKind, u=None) -> np.ndarray:
     checked as in :func:`all_label_scores`, for every kind.
     """
     Z = _as_logit_rows(Z)
-    labels = np.asarray(labels)
+    labels = _as_labels(labels)
     if labels.shape != (Z.shape[0],):
         raise InvalidInput("labels must be a vector matching the instance count")
     if np.any(labels < 0) or np.any(labels >= Z.shape[1]):

@@ -52,7 +52,7 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
-        fractions = tuple(float(f) for f in self.fractions)
+        fractions = tuple(float(checked(f, float, "fraction")) for f in self.fractions)
         if len(fractions) < 2:
             raise InvalidFractions("need at least two fractions")
         if any(not math.isfinite(f) or f <= 0.0 for f in fractions):
@@ -60,7 +60,7 @@ class SplitSpec:
         if abs(sum(fractions) - 1.0) > 1e-9:
             raise InvalidFractions(f"fractions must sum to 1, got {sum(fractions)}")
         object.__setattr__(self, "fractions", fractions)
-        if self.seed < 0:
+        if checked(self.seed, int, "seed") < 0:
             raise InvalidInput("seed must be nonnegative")
 
 

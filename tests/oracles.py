@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from entconform.errors import InconsistentWidth, LabelOutOfRange, ParseError
+from entconform.errors import InconsistentWidth, InvalidInput, LabelOutOfRange, ParseError
 
 
 def project_simplex_bruteforce(z: np.ndarray) -> np.ndarray:
@@ -45,18 +45,34 @@ def order_statistic(values, r: int) -> float:
     return float(sorted(values)[r - 1])
 
 
-def shannon_or_tsallis(p: np.ndarray, gamma: float) -> float:
+def tsallis_entropy(p, gamma: float) -> float:
+    """Generalized entropy of order ``gamma`` (Shannon entropy at 1).
+
+    For gamma != 1 this is ``(1 - sum p_j**gamma) / (gamma * (gamma-1))``;
+    within 1e-12 of gamma = 1 the Shannon branch is used, with
+    ``0 * log 0 := 0``.  ``p`` must lie on the simplex, up to 1e-9 per
+    entry and 1e-6 on the sum.
+    """
     p = np.asarray(p, dtype=np.float64)
-    if gamma == 1.0:
-        return float(sum(-q * math.log(q) for q in p if q > 0.0))
-    return float((1.0 - sum(q**gamma for q in p)) / (gamma * (gamma - 1.0)))
+    if not math.isfinite(gamma) or gamma <= 0.0:
+        raise InvalidInput(f"gamma must be positive, got {gamma}")
+    if np.any(p < -1e-9):
+        raise InvalidInput("probabilities must be nonnegative")
+    if abs(p.sum() - 1.0) > 1e-6:
+        raise InvalidInput("probabilities must sum to one")
+    q = np.maximum(p, 0.0)
+    if abs(gamma - 1.0) < 1e-12:
+        return float(sum(-v * math.log(v) for v in q if v > 0.0))
+    return float((1.0 - sum(v**gamma for v in q)) / (gamma * (gamma - 1.0)))
 
 
-def objective_value(p, z, gamma: float) -> float:
-    """p . z + H_gamma(p), computed independently of the package."""
+def entmax_objective(p, z, gamma: float) -> float:
+    """``p . z + H_gamma(p)``, the quantity gamma-entmax maximizes."""
     p = np.asarray(p, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    return float(np.dot(p, z) + shannon_or_tsallis(p, gamma))
+    if p.shape != z.shape:
+        raise InvalidInput(f"shape mismatch: {p.shape} vs {z.shape}")
+    return float(np.dot(p, z) + tsallis_entropy(p, gamma))
 
 
 def random_simplex_points(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
@@ -78,6 +94,41 @@ def delta_norm(gaps: np.ndarray, delta: float) -> float:
     if gaps.size == 0:
         return 0.0
     return float(np.sum(gaps**delta) ** (1.0 / delta))
+
+
+def entmax_bisect_every_iteration(Z, gamma: float, tol: float, max_iters: int = 100):
+    """The threshold bisection as it ran before rows stopped on a frozen
+    bracket: every row halves until |sum - 1| <= tol or ``max_iters`` is
+    spent, even after its midpoint has rounded onto an end of the bracket.
+    It keeps the package's shifted bracket [-1, 0] and its support cut, so
+    its ``(probs, tau, support)`` must equal the package's bit for bit.
+    """
+    delta = 1.0 / (gamma - 1.0)
+    X = (gamma - 1.0) * np.asarray(Z, dtype=np.float64)
+    n = X.shape[0]
+    xmax = X.max(axis=1)
+    Xs = X - xmax[:, None]
+    lo, hi = np.full(n, -1.0), np.zeros(n)
+    tau = np.full(n, -0.5)
+    done = np.zeros(n, dtype=bool)
+    for _ in range(max_iters):
+        active = np.flatnonzero(~done)
+        if active.size == 0:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        sums = np.power(np.maximum(Xs[active] - mid[:, None], 0.0), delta).sum(axis=1)
+        tau[active] = mid
+        done[active[np.abs(sums - 1.0) <= tol]] = True
+        go_lo = sums >= 1.0
+        lo[active] = np.where(go_lo, mid, lo[active])
+        hi[active] = np.where(go_lo, hi[active], mid)
+    ramp = Xs - tau[:, None]
+    eps = 1e-13 * np.maximum(1.0, np.abs(X).max(axis=1))
+    support = ramp > eps[:, None]
+    support[np.arange(n), X.argmax(axis=1)] = True
+    probs = np.where(support, np.power(np.maximum(ramp, 0.0), delta), 0.0)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs, tau + xmax, support
 
 
 def read_logits_csv_per_row(fh, labeled: bool = False):

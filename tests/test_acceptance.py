@@ -18,22 +18,20 @@ from entconform import (
     ScoreKind,
     SizeBins,
     all_label_scores,
+    compute_report,
     empirical_coverage,
     entmax,
-    rank_of_label,
     run_experiment,
-    score_entmax,
-    score_log_margin,
-    score_sparsemax,
     size_stratified_coverage,
     sparsemax,
-    sscv,
     support_sets_via_entmax,
+    true_label_scores,
     tune_gamma,
     tune_raps,
 )
 from entconform.cli import main as cli_main
 from entconform.conformal import LabeledLogitDataset
+from entconform.scores import descending_order
 from entconform.tuning import DEFAULT_GAMMA_GRID, DEFAULT_K_GRID, DEFAULT_LAMBDA_GRID
 
 from oracles import project_simplex_bruteforce
@@ -178,6 +176,15 @@ def test_criterion_5_efficiency_monotonicity(synthetic_report):
                 assert all(v < 0.02 for v in inversions), f"{method} split {s}: {sizes}"
 
 
+def pair_score(z, y, kind):
+    return true_label_scores(z[None, :], [y], kind)[0]
+
+
+def family_score(z, y, gamma):
+    """The rank-gap score at gamma in (1, 2]: the sparsemax kind at gamma = 2."""
+    return pair_score(z, y, ScoreKind.sparsemax() if gamma == 2.0 else ScoreKind.entmax(gamma))
+
+
 def test_criterion_6_score_family_limits():
     # For the c = rank(y) - 1 gaps of label y, ||g||_inf <= ||g||_delta <=
     # c**(1/delta) * ||g||_inf, and the upper bound is attained at tied gaps.
@@ -198,14 +205,14 @@ def test_criterion_6_score_family_limits():
             k = int(rng.integers(2, 11))
             z = rng.uniform(-10.0, 10.0, size=k)
             y = int(rng.integers(0, k))
-            assert score_entmax(z, y, 2.0) == score_sparsemax(z, y)
-            lm = score_log_margin(z, y)
-            c = max(1, rank_of_label(z, y) - 1)
-            s64 = score_entmax(z, y, 1.0 + 1.0 / 64.0)
+            assert family_score(z, y, 2.0) == pair_score(z, y, ScoreKind.sparsemax())
+            lm = pair_score(z, y, ScoreKind.log_margin())
+            c = max(1, int(np.flatnonzero(descending_order(z) == y)[0]))  # rank(y) - 1
+            s64 = family_score(z, y, 1.0 + 1.0 / 64.0)
             assert lm <= s64 <= lm * c ** (1.0 / 64.0) + 1e-12, (
                 f"z={z!r} y={y}: l64={s64!r} lm={lm!r} c={c}"
             )
-            s_far = score_entmax(z, y, 1.0 + 2.0**-16)
+            s_far = family_score(z, y, 1.0 + 2.0**-16)
             assert abs(s_far - lm) <= 1e-3, (
                 f"z={z!r} y={y}: l65536={s_far!r} lm={lm!r}"
             )
@@ -273,7 +280,7 @@ def test_criterion_8_metric_identities():
             run = EvaluationRun(
                 sets=tuple(sets), labels=np.asarray(labels), alpha=0.25
             )
-            assert sscv(run, bins) == 0.0
+            assert compute_report(run, bins).sscv == 0.0
 
 
 def test_criterion_9_end_to_end_determinism(tmp_path):

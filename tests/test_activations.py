@@ -8,43 +8,22 @@ from entconform import (
     InvalidGamma,
     InvalidInput,
     entmax,
-    entmax_objective,
-    scale,
     softmax,
     sparsemax,
-    tsallis_entropy,
 )
+
+from entconform.activations import _entmax_bisect_batch
 
 from oracles import (
-    objective_value,
+    entmax_bisect_every_iteration,
+    entmax_objective,
     project_simplex_bruteforce,
     random_simplex_points,
+    tsallis_entropy,
 )
+from synth import make_task
 
 Z5 = np.array([1.0, -1.0, -0.2, 0.4, -0.5])
-
-
-class TestScale:
-    def test_elementwise(self):
-        np.testing.assert_array_equal(scale([1.0, -1.0], 2.0), [2.0, -2.0])
-
-    def test_identity(self):
-        np.testing.assert_array_equal(scale(Z5, 1.0), Z5)
-
-    def test_zero_beta(self):
-        np.testing.assert_array_equal(scale([3.0, 7.0], 0.0), [0.0, 0.0])
-
-    def test_rejects_negative_or_nonfinite_beta(self):
-        with pytest.raises(InvalidInput):
-            scale([1.0, 2.0], -0.5)
-        with pytest.raises(InvalidInput):
-            scale([1.0, 2.0], math.inf)
-
-    def test_rejects_bad_logits(self):
-        with pytest.raises(InvalidInput):
-            scale([1.0], 1.0)
-        with pytest.raises(InvalidInput):
-            scale([1.0, math.nan], 1.0)
 
 
 class TestSoftmax:
@@ -62,7 +41,7 @@ class TestSoftmax:
         z = np.array([1.0, 0.0])
         prev = 0.0
         for beta in [1.0, 4.0, 16.0, 64.0, 256.0]:
-            p0 = softmax(scale(z, beta)).probs[0]
+            p0 = softmax(beta * z).probs[0]
             assert p0 >= prev
             prev = p0
         assert prev > 1.0 - 1e-12
@@ -141,10 +120,10 @@ class TestEntmax:
     def test_objective_dominance_worked_example(self):
         gamma = 1.5
         p_star = entmax(Z5, EntmaxConfig(gamma)).probs
-        best = objective_value(p_star, Z5, gamma)
+        best = entmax_objective(p_star, Z5, gamma)
         rng = np.random.default_rng(7)
         for q in random_simplex_points(rng, 5, 1000):
-            assert best >= objective_value(q, Z5, gamma) - 1e-9
+            assert best >= entmax_objective(q, Z5, gamma) - 1e-9
 
     def test_objective_dominance_random_inputs(self):
         rng = np.random.default_rng(8)
@@ -153,13 +132,20 @@ class TestEntmax:
             z = rng.uniform(-4.0, 4.0, size=k)
             gamma = rng.uniform(1.05, 1.95)
             p_star = entmax(z, EntmaxConfig(gamma)).probs
-            best = objective_value(p_star, z, gamma)
+            best = entmax_objective(p_star, z, gamma)
             # mixtures of the solution with random simplex points probe
             # the neighborhood as well as far-away corners
             for q in random_simplex_points(rng, k, 50):
                 for t in (1.0, 0.1, 0.01):
                     cand = (1.0 - t) * p_star + t * q
-                    assert best >= objective_value(cand, z, gamma) - 1e-9
+                    assert best >= entmax_objective(cand, z, gamma) - 1e-9
+
+    def test_rejects_bad_logits(self):
+        for transform in (softmax, sparsemax, lambda z: entmax(z, EntmaxConfig(1.5))):
+            with pytest.raises(InvalidInput):
+                transform([1.0])
+            with pytest.raises(InvalidInput):
+                transform([1.0, math.nan])
 
     def test_invalid_gamma_rejected(self):
         for gamma in (0.5, 2.5, math.nan):
@@ -182,6 +168,29 @@ class TestEntmax:
             gamma = rng.choice([1.2, 1.5, 1.8])
             d = entmax(z, EntmaxConfig(gamma))
             np.testing.assert_array_equal(np.flatnonzero(d.probs > 0.0), d.support)
+
+
+class TestBisectionStop:
+    """A row stops once a halving leaves its bracket unchanged.  Every later
+    halving would repeat the same midpoint and sums, so stopping there must
+    change no bit against running each row to the tolerance or the cap."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-16], ids=["entmax", "support"])
+    @pytest.mark.parametrize("gamma", [1.1, 1.5, 1.9])
+    def test_matches_every_iteration_bit_for_bit(self, gamma, tol):
+        rng = np.random.default_rng(int(gamma * 10))
+        for k in (2, 10, 57, 300):
+            draws = (
+                rng.normal(size=(32, k)) * 3.0,
+                rng.integers(0, 4, size=(32, k)).astype(float),
+                rng.normal(size=(32, k)) + 1e6,
+                make_task(32, num_classes=k, seed=k).logits * 4.0,
+            )
+            for Z in draws:
+                got = _entmax_bisect_batch(Z, gamma, tol)
+                want = entmax_bisect_every_iteration(Z, gamma, tol)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
 
 
 class TestEntmaxInvariants:
@@ -246,13 +255,14 @@ class TestEntmaxInvariants:
             for gamma in (1.25, 1.5, 2.0):
                 beta = 1.0
                 while beta <= 2.0**64:
-                    if entmax(scale(z, beta), EntmaxConfig(gamma)).support_size == 1:
+                    if entmax(beta * z, EntmaxConfig(gamma)).support_size == 1:
                         break
                     beta *= 2.0
                 else:
                     pytest.fail(f"no saturation below beta=2**64 for gamma={gamma}")
 
 
+# The entropy and objective oracles that the optimality tests compare against.
 class TestTsallisEntropy:
     def test_deterministic_distribution_is_zero(self):
         onehot = [1.0, 0.0, 0.0, 0.0]

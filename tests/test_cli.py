@@ -66,10 +66,12 @@ class TestTransform:
             ("z0,z1\n1.0,2.0,3.0\n", "1.0"),
             # finite rows that overflow once scaled by beta
             ("z0,z1\n10,1\n", "1e308"),
+            ("z0,z1\n1.0,2.0\n", "-0.5"),
+            ("z0,z1\n1.0,2.0\n", "inf"),
         ],
         ids=[
             "nan", "inf", "label-out-of-range", "label-str", "label-bad-names", "width",
-            "beta-overflow",
+            "beta-overflow", "beta-negative", "beta-inf",
         ],
     )
     def test_bad_input_exits_2_before_output(self, monkeypatch, capsys, stdin_text, beta):
@@ -80,6 +82,23 @@ class TestTransform:
             )
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "stdin_text, beta, row",
+        [
+            ("z0,z1,z2\n3e16,1,0\n", "1.0", "1.000000,0.000000,0.000000"),
+            ("z0,z1\n1,0\n", "1e17", "1.000000,0.000000"),
+        ],
+        ids=["large-logit", "large-beta"],
+    )
+    def test_scaled_maximum_beyond_2_to_53(self, monkeypatch, capsys, stdin_text, beta, row):
+        # (gamma-1) * max(z) - 1 rounds back to (gamma-1) * max(z) here, so
+        # a bracket on the unshifted scores would be empty
+        code, out = self.run(
+            ["transform", "--gamma", "1.5", "--beta", beta], stdin_text, monkeypatch, capsys
+        )
+        assert code == 0
+        assert out.strip().splitlines()[1] == row
 
 
 # Inputs that ended in a traceback (exit 1) before the parser mapped them

@@ -8,6 +8,7 @@ from entconform import (
     CalibratedPredictor,
     DimensionMismatch,
     EmptyCalibration,
+    EvaluationRun,
     InvalidGamma,
     InvalidInput,
     LabeledLogitDataset,
@@ -15,14 +16,12 @@ from entconform import (
     PredictionSet,
     RapsParams,
     ScoreKind,
+    SplitSpec,
     all_label_scores,
     calibrate,
     conformal_quantile,
-    predict_set,
     predict_sets,
-    score_sparsemax,
     set_masks,
-    support_set_via_entmax,
     support_sets_via_entmax,
     true_label_scores,
 )
@@ -33,6 +32,14 @@ from oracles import order_statistic
 from synth import make_task
 
 Z5 = np.array([1.0, -1.0, -0.2, 0.4, -0.5])
+
+
+def predict_one(z, pred):
+    return predict_sets(np.asarray(z)[None, :], pred)[0]
+
+
+def support_one(z, beta, gamma):
+    return support_sets_via_entmax(np.asarray(z)[None, :], beta, gamma)[0]
 
 
 class TestConformalQuantile:
@@ -82,7 +89,7 @@ class TestCalibrate:
     def test_sparsemax_toy_by_hand(self):
         # per-instance gap sums: 0.6, 0.0, 1.8, 2.7; r = ceil(5*0.5) = 3
         cal = toy_dataset()
-        hand_scores = [score_sparsemax(Z5, y) for y in cal.labels]
+        hand_scores = list(true_label_scores(cal.logits, cal.labels, ScoreKind.sparsemax()))
         assert hand_scores == pytest.approx([0.6, 0.0, 1.8, 2.7])
         pred = calibrate(cal, ScoreKind.sparsemax(), 0.5)
         assert pred.q_hat == order_statistic(hand_scores, 3)
@@ -93,7 +100,7 @@ class TestCalibrate:
         cal = toy_dataset()
         pred = calibrate(cal, ScoreKind.sparsemax(), 0.01)
         assert pred.q_hat == math.inf
-        s = predict_set(np.array([9.0, 1.0, 2.0, 3.0, -1.0]), pred)
+        s = predict_one(np.array([9.0, 1.0, 2.0, 3.0, -1.0]), pred)
         assert s.labels == (0, 1, 2, 3, 4)
 
     def test_entmax_beta_inv(self):
@@ -135,16 +142,16 @@ class TestPredictSet:
         pred = CalibratedPredictor(
             ScoreKind.sparsemax(), alpha=0.5, q_hat=0.0, calib_n=4, num_classes=5
         )
-        assert predict_set(Z5, pred).labels == (0,)
+        assert predict_one(Z5, pred).labels == (0,)
 
     def test_worked_threshold(self):
         # scores per label: 0, 4.7, 1.8, 0.6, 2.7 -> only 0 and 3 pass 0.7
         pred = CalibratedPredictor(
             ScoreKind.sparsemax(), alpha=0.5, q_hat=0.7, calib_n=4, num_classes=5
         )
-        assert predict_set(Z5, pred).labels == (0, 3)
+        assert predict_one(Z5, pred).labels == (0, 3)
         # cross-check: the sparsemax support at beta = 1/0.7 is the same set
-        assert support_set_via_entmax(Z5, 1.0 / 0.7, 2.0).labels == (0, 3)
+        assert support_one(Z5, 1.0 / 0.7, 2.0).labels == (0, 3)
 
     def test_argmax_always_included_for_family_scores(self):
         rng = np.random.default_rng(73)
@@ -153,13 +160,13 @@ class TestPredictSet:
             pred = calibrate(cal, kind, 0.25)
             for _ in range(50):
                 z = rng.normal(size=6)
-                assert int(np.argmax(z)) in predict_set(z, pred)
+                assert int(np.argmax(z)) in predict_one(z, pred)
 
     def test_dimension_mismatch(self):
         cal = toy_dataset()
         pred = calibrate(cal, ScoreKind.sparsemax(), 0.5)
         with pytest.raises(DimensionMismatch):
-            predict_set(np.array([1.0, 2.0]), pred)
+            predict_one(np.array([1.0, 2.0]), pred)
 
     def test_monotone_in_q_hat(self):
         rng = np.random.default_rng(74)
@@ -170,7 +177,7 @@ class TestPredictSet:
                 pred = CalibratedPredictor(
                     ScoreKind.entmax(1.5), alpha=0.5, q_hat=q, calib_n=9, num_classes=6
                 )
-                labels = set(predict_set(z, pred).labels)
+                labels = set(predict_one(z, pred).labels)
                 if previous is not None:
                     assert previous <= labels
                 previous = labels
@@ -211,22 +218,23 @@ class TestPredictSet:
 
 class TestSupportSetViaEntmax:
     def test_sparsemax_case(self):
-        assert support_set_via_entmax(Z5, 1.0 / 0.7, 2.0).labels == (0, 3)
+        assert support_one(Z5, 1.0 / 0.7, 2.0).labels == (0, 3)
 
     def test_large_beta_saturates_to_argmax(self):
-        assert support_set_via_entmax(Z5, 1e6, 1.5).labels == (0,)
+        assert support_one(Z5, 1e6, 1.5).labels == (0,)
 
     def test_tiny_beta_gives_full_set(self):
-        assert support_set_via_entmax(Z5, 1e-9, 1.5).labels == (0, 1, 2, 3, 4)
+        assert support_one(Z5, 1e-9, 1.5).labels == (0, 1, 2, 3, 4)
 
     def test_invalid_gamma(self):
         for gamma in (1.0, 2.5):
             with pytest.raises(InvalidGamma):
-                support_set_via_entmax(Z5, 1.0, gamma)
+                support_one(Z5, 1.0, gamma)
 
     def test_invalid_beta(self):
-        with pytest.raises(InvalidInput):
-            support_set_via_entmax(Z5, 0.0, 1.5)
+        for beta in (0.0, -0.5, math.inf):
+            with pytest.raises(InvalidInput):
+                support_one(Z5, beta, 1.5)
 
     def test_gap_sum_condition_matches_sparsemax_support(self):
         # at gamma = 2 membership is exactly "gap sum below 1/beta"
@@ -235,7 +243,7 @@ class TestSupportSetViaEntmax:
             k = int(rng.integers(2, 9))
             z = rng.uniform(-5.0, 5.0, size=k)
             beta = float(rng.uniform(0.05, 5.0))
-            support = set(support_set_via_entmax(z, beta, 2.0).labels)
+            support = set(support_one(z, beta, 2.0).labels)
             scores = all_label_scores(z[None, :], ScoreKind.sparsemax())[0]
             by_condition = {j for j in range(k) if scores[j] < 1.0 / beta}
             assert support == by_condition
@@ -286,8 +294,8 @@ class TestTieSemantics:
         q_hat = 2.0
         assert all_label_scores(z[None, :], kind)[0, 1] == q_hat
         pred = CalibratedPredictor(kind, alpha=0.1, q_hat=q_hat, calib_n=10, num_classes=4)
-        assert predict_set(z, pred).labels == (0, 1)
-        assert support_set_via_entmax(z, delta / q_hat, gamma).labels == (0,)
+        assert predict_one(z, pred).labels == (0, 1)
+        assert support_one(z, delta / q_hat, gamma).labels == (0,)
 
     def test_tied_logits_get_equal_rank_gap_scores(self):
         z = np.array([[2.0, 1.0, 1.0, 0.0]])
@@ -295,7 +303,7 @@ class TestTieSemantics:
             s = all_label_scores(z, kind)[0]
             assert s[1] == s[2]
             pred = CalibratedPredictor(kind, alpha=0.1, q_hat=s[1], calib_n=10, num_classes=4)
-            assert predict_set(z[0], pred).labels == (0, 1, 2)
+            assert predict_one(z[0], pred).labels == (0, 1, 2)
 
     def test_raps_breaks_ties_lower_index_first(self):
         # labels 1 and 2 are tied; label 1 is ranked first, so its RAPS
@@ -305,7 +313,7 @@ class TestTieSemantics:
         s = all_label_scores(z, kind)[0]
         assert s[1] < s[2]
         pred = CalibratedPredictor(kind, alpha=0.1, q_hat=s[1], calib_n=10, num_classes=4)
-        assert predict_set(z[0], pred).labels == (0, 1)
+        assert predict_one(z[0], pred).labels == (0, 1)
 
     @pytest.mark.parametrize(
         "kind",
@@ -519,6 +527,37 @@ class TestDatasetValidation:
         sub = data.subset([7, 2, 5])
         np.testing.assert_array_equal(sub.logits, data.logits[[7, 2, 5]])
         np.testing.assert_array_equal(sub.labels, data.labels[[7, 2, 5]])
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: LabeledLogitDataset(np.zeros((2, 3)), [0.7, 1.2]), LabelOutOfRange),
+        (lambda: LabeledLogitDataset(np.zeros((2, 3)), [math.nan, 1.0]), LabelOutOfRange),
+        (lambda: EvaluationRun(np.ones((2, 3), dtype=bool), [0.5, 1], 0.1), LabelOutOfRange),
+        (lambda: EvaluationRun((PredictionSet((0,)),), [0.5], 0.1), LabelOutOfRange),
+        (lambda: true_label_scores(np.zeros((2, 3)), [0.5, 1.0], ScoreKind.sparsemax()),
+         LabelOutOfRange),
+        (lambda: true_label_scores(np.zeros((2, 3)), [math.nan, 1.0], ScoreKind.inv_prob()),
+         LabelOutOfRange),
+        (lambda: RapsParams(0.1, 2.5), InvalidInput),
+        (lambda: RapsParams(0.1, 2, randomized=1), InvalidInput),
+        (lambda: RapsParams("0.1", 2), InvalidInput),
+        (lambda: SplitSpec((0.5, 0.5), 1.5), InvalidInput),
+        (lambda: SplitSpec(("0.5", 0.5), 0), InvalidInput),
+    ],
+    ids=[
+        "dataset-fractional-label", "dataset-nan-label", "mask-run-fractional-label",
+        "set-run-fractional-label", "scores-fractional-label", "scores-nan-label",
+        "raps-fractional-k", "raps-int-randomized", "raps-str-lambda",
+        "split-fractional-seed", "split-str-fraction",
+    ],
+)
+def test_python_api_rejects_what_the_file_boundaries_reject(build, error):
+    # a label must be a whole number and every field must have its type, as
+    # the CSV and JSON readers already demand, not be truncated or coerced
+    with pytest.raises(error):
+        build()
 
 
 class TestPredictionSet:

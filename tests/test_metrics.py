@@ -13,7 +13,6 @@ from entconform import (
     empirical_coverage,
     singleton_stats,
     size_stratified_coverage,
-    sscv,
 )
 
 
@@ -137,20 +136,20 @@ class TestSscv:
         sets = [{0}] * 9 + [{1}]
         labels = [0] * 9 + [2]
         run = make_run(sets, labels, alpha=0.1)
-        assert sscv(run, SizeBins(((0, 10),))) == pytest.approx(0.0)
+        assert compute_report(run, SizeBins(((0, 10),))).sscv == pytest.approx(0.0)
 
     def test_max_deviation_over_bins(self):
         # bin {0-1}: 19 of 20 covered (0.95); bin {2-3}: 7 of 10 (0.7)
         sets = [{0}] * 20 + [{0, 1}] * 10
         labels = [0] * 19 + [5] + [0] * 7 + [5] * 3
         run = make_run(sets, labels, alpha=0.1)
-        assert sscv(run, SizeBins.default(10)) == pytest.approx(0.2)
+        assert compute_report(run, SizeBins.default(10)).sscv == pytest.approx(0.2)
 
     def test_only_nonempty_bins_count(self):
         sets = [{0, 1}] * 4
         labels = [0, 0, 0, 5]
         run = make_run(sets, labels, alpha=0.25)
-        assert sscv(run, SizeBins.default(10)) == pytest.approx(0.0)
+        assert compute_report(run, SizeBins.default(10)).sscv == pytest.approx(0.0)
 
 
 class TestMetricIdentities:
@@ -179,7 +178,7 @@ class TestMetricIdentities:
         assert empirical_coverage(shuffled) == empirical_coverage(run)
         assert avg_set_size(shuffled) == avg_set_size(run)
         assert singleton_stats(shuffled) == singleton_stats(run)
-        assert sscv(shuffled, bins) == sscv(run, bins)
+        assert compute_report(shuffled, bins).sscv == compute_report(run, bins).sscv
 
 
 class TestReport:

@@ -11,19 +11,31 @@ from entconform import (
     RapsParams,
     ScoreKind,
     all_label_scores,
-    rank_of_label,
-    score_entmax,
-    score_inv_prob,
-    score_log_margin,
-    score_raps,
-    score_sparsemax,
     true_label_scores,
 )
-from entconform.scores import threshold_masks
+from entconform.scores import descending_order, threshold_masks
 
 from oracles import delta_norm, gap_vector
 
 Z5 = np.array([1.0, -1.0, -0.2, 0.4, -0.5])
+SPARSEMAX = ScoreKind.sparsemax()
+LOG_MARGIN = ScoreKind.log_margin()
+INV_PROB = ScoreKind.inv_prob()
+
+
+def score_one(kind, z, y, u=None):
+    """The score of one (z, y) pair, through the batch function."""
+    return true_label_scores(np.asarray(z, dtype=float)[None, :], [y], kind, u=u)[0]
+
+
+def family_kind(gamma):
+    """The rank-gap kind of ``gamma`` in (1, 2]: sparsemax at gamma = 2."""
+    return ScoreKind.sparsemax() if gamma == 2.0 else ScoreKind.entmax(gamma)
+
+
+def rank_of(z, y):
+    """1-based rank of label y in the package's descending order."""
+    return int(np.flatnonzero(descending_order(np.asarray(z, dtype=float)) == y)[0]) + 1
 
 
 def random_tie_free(rng, low=-5.0, high=5.0, kmax=10):
@@ -36,53 +48,46 @@ def random_tie_free(rng, low=-5.0, high=5.0, kmax=10):
 
 class TestRankOfLabel:
     def test_argmax_is_rank_one(self):
-        assert rank_of_label(Z5, 0) == 1
+        assert rank_of(Z5, 0) == 1
 
     def test_sorted_by_hand(self):
         # descending: 1, 0.4, -0.2, -0.5, -1
-        assert rank_of_label(Z5, 3) == 2
-        assert rank_of_label(Z5, 2) == 3
-        assert rank_of_label(Z5, 4) == 4
-        assert rank_of_label(Z5, 1) == 5
+        assert rank_of(Z5, 3) == 2
+        assert rank_of(Z5, 2) == 3
+        assert rank_of(Z5, 4) == 4
+        assert rank_of(Z5, 1) == 5
 
     def test_tie_broken_by_lower_index(self):
-        assert rank_of_label([5.0, 5.0], 0) == 1
-        assert rank_of_label([5.0, 5.0], 1) == 2
+        assert rank_of([5.0, 5.0], 0) == 1
+        assert rank_of([5.0, 5.0], 1) == 2
 
     def test_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
-            rank_of_label(Z5, 5)
+            score_one(SPARSEMAX, Z5, 5)
         with pytest.raises(LabelOutOfRange):
-            rank_of_label(Z5, -1)
+            score_one(SPARSEMAX, Z5, -1)
 
 
 class TestSparsemaxScore:
     def test_top_label_is_zero(self):
-        assert score_sparsemax(Z5, 0) == 0.0
+        assert score_one(SPARSEMAX, Z5, 0) == 0.0
 
     def test_rank_two(self):
-        assert score_sparsemax(Z5, 3) == pytest.approx(0.6)
+        assert score_one(SPARSEMAX, Z5, 3) == pytest.approx(0.6)
 
     def test_rank_three(self):
         # (1 - (-0.2)) + (0.4 - (-0.2)) = 1.2 + 0.6
-        assert score_sparsemax(Z5, 2) == pytest.approx(1.8)
+        assert score_one(SPARSEMAX, Z5, 2) == pytest.approx(1.8)
 
 
 class TestEntmaxScore:
-    def test_gamma_two_equals_sparsemax_bitwise(self):
-        rng = np.random.default_rng(41)
-        for _ in range(200):
-            z = rng.uniform(-5.0, 5.0, size=rng.integers(2, 11))
-            y = rng.integers(0, z.size)
-            assert score_entmax(z, y, 2.0) == score_sparsemax(z, y)
-
     def test_euclidean_norm_case(self):
         # gamma=1.5 -> delta=2; gaps (1.2, 0.6): sqrt(1.8)
-        assert score_entmax(Z5, 2, 1.5) == pytest.approx(math.sqrt(1.8), abs=1e-12)
+        assert score_one(ScoreKind.entmax(1.5), Z5, 2) == pytest.approx(math.sqrt(1.8), abs=1e-12)
 
     def test_argmax_is_zero_any_gamma(self):
         for gamma in (1.1, 1.5, 1.9, 2.0):
-            assert score_entmax(Z5, 0, gamma) == 0.0
+            assert score_one(family_kind(gamma), Z5, 0) == 0.0
 
     def test_matches_direct_delta_norm(self):
         rng = np.random.default_rng(42)
@@ -91,35 +96,35 @@ class TestEntmaxScore:
             y = int(rng.integers(0, z.size))
             gamma = float(rng.uniform(1.05, 2.0))
             expected = delta_norm(gap_vector(z, y), 1.0 / (gamma - 1.0))
-            assert score_entmax(z, y, gamma) == pytest.approx(expected, rel=1e-12)
+            assert score_one(family_kind(gamma), z, y) == pytest.approx(expected, rel=1e-12)
 
     def test_invalid_gamma(self):
         for gamma in (1.0, 0.9, 2.1):
             with pytest.raises(InvalidGamma):
-                score_entmax(Z5, 0, gamma)
+                ScoreKind.entmax(gamma)
 
 
 class TestLogMarginScore:
     def test_top_label(self):
-        assert score_log_margin(Z5, 0) == 0.0
+        assert score_one(LOG_MARGIN, Z5, 0) == 0.0
 
     def test_rank_two(self):
-        assert score_log_margin(Z5, 3) == pytest.approx(0.6)
+        assert score_one(LOG_MARGIN, Z5, 3) == pytest.approx(0.6)
 
     def test_bottom_label(self):
-        assert score_log_margin(Z5, 1) == pytest.approx(2.0)
+        assert score_one(LOG_MARGIN, Z5, 1) == pytest.approx(2.0)
 
 
 class TestInvProbScore:
     def test_uniform_two_class(self):
-        assert score_inv_prob([0.0, 0.0], 0) == pytest.approx(0.5)
+        assert score_one(INV_PROB, [0.0, 0.0], 0) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("c", [0.0, -7.0, 3.0])
     def test_log_three_ratio(self, c):
-        assert score_inv_prob([c, c + math.log(3.0)], 1) == pytest.approx(0.25)
+        assert score_one(INV_PROB, [c, c + math.log(3.0)], 1) == pytest.approx(0.25)
 
     def test_dominant_label_scores_near_zero(self):
-        assert score_inv_prob([50.0, 0.0, 0.0], 0) == pytest.approx(0.0, abs=1e-12)
+        assert score_one(INV_PROB, [50.0, 0.0, 0.0], 0) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRapsScore:
@@ -127,23 +132,23 @@ class TestRapsScore:
         # lambda=0, u=1, y at rank 1: just that label's own softmax mass
         z = np.log(np.array([0.5, 0.3, 0.2]))
         params = RapsParams(lambda_reg=0.0, k_reg=1)
-        assert score_raps(z, 0, params, u=1.0) == pytest.approx(0.5)
+        assert score_one(ScoreKind.raps(params), z, 0, u=1.0) == pytest.approx(0.5)
 
     def test_regularized_worked_example(self):
         # softmax [0.5, 0.3, 0.2], y at rank 3: 1.0 + 0.1 * max(0, 3-1)
         z = np.log(np.array([0.5, 0.3, 0.2]))
         params = RapsParams(lambda_reg=0.1, k_reg=1)
-        assert score_raps(z, 2, params, u=1.0) == pytest.approx(1.2)
+        assert score_one(ScoreKind.raps(params), z, 2, u=1.0) == pytest.approx(1.2)
 
     def test_randomized_lower_edge(self):
         z = np.log(np.array([0.5, 0.3, 0.2]))
         params = RapsParams(lambda_reg=0.0, k_reg=1)
-        assert score_raps(z, 0, params, u=0.0) == pytest.approx(0.0)
+        assert score_one(ScoreKind.raps(params), z, 0, u=0.0) == pytest.approx(0.0)
 
     def test_u_out_of_range(self):
         params = RapsParams(lambda_reg=0.0, k_reg=1)
         with pytest.raises(InvalidInput):
-            score_raps(Z5, 0, params, u=1.5)
+            score_one(ScoreKind.raps(params), Z5, 0, u=1.5)
 
     @pytest.mark.parametrize("u", [[0.5] * 3, np.ones((5, 1)), "half"], ids=["short", "column", "text"])
     @pytest.mark.parametrize(
@@ -163,7 +168,7 @@ class TestRapsScore:
     def test_k_reg_beyond_classes(self):
         params = RapsParams(lambda_reg=0.1, k_reg=9)
         with pytest.raises(InvalidInput):
-            score_raps(Z5, 0, params)
+            score_one(ScoreKind.raps(params), Z5, 0)
 
     def test_bad_params_rejected(self):
         with pytest.raises(InvalidInput):
@@ -173,22 +178,9 @@ class TestRapsScore:
 
 
 class TestScalarRoutesThroughBatch:
-    def test_bitwise_equal_to_true_label_scores(self):
-        rng = np.random.default_rng(43)
-        for _ in range(100):
-            z = rng.uniform(-5.0, 5.0, size=rng.integers(2, 14))
-            y = int(rng.integers(0, z.size))
-            for kind, scalar in (
-                (ScoreKind.sparsemax(), score_sparsemax(z, y)),
-                (ScoreKind.entmax(1.3), score_entmax(z, y, 1.3)),
-                (ScoreKind.log_margin(), score_log_margin(z, y)),
-                (ScoreKind.inv_prob(), score_inv_prob(z, y)),
-            ):
-                assert scalar == true_label_scores(z[None, :], [y], kind)[0]
-
     def test_nan_u_rejected(self):
         with pytest.raises(InvalidInput):
-            score_raps(Z5, 0, RapsParams(lambda_reg=0.0, k_reg=1), u=math.nan)
+            score_one(ScoreKind.raps(RapsParams(lambda_reg=0.0, k_reg=1)), Z5, 0, u=math.nan)
 
 
 class TestScoreKind:
@@ -261,18 +253,7 @@ ALL_KINDS = [
 
 
 class TestVectorizedAgainstScalar:
-    """The batch paths must agree with the one-vector reference functions."""
-
-    def scalar_score(self, kind, z, y):
-        if kind.variant == "sparsemax":
-            return score_sparsemax(z, y)
-        if kind.variant == "entmax":
-            return score_entmax(z, y, kind.gamma)
-        if kind.variant == "log_margin":
-            return score_log_margin(z, y)
-        if kind.variant == "inv_prob":
-            return score_inv_prob(z, y)
-        return score_raps(z, y, kind.raps_params, u=1.0)
+    """The batch paths must agree with scoring one (z, y) pair at a time."""
 
     def test_all_label_scores(self):
         rng = np.random.default_rng(51)
@@ -282,7 +263,7 @@ class TestVectorizedAgainstScalar:
             for i in range(Z.shape[0]):
                 for y in range(Z.shape[1]):
                     assert got[i, y] == pytest.approx(
-                        self.scalar_score(kind, Z[i], y), rel=1e-12, abs=1e-12
+                        score_one(kind, Z[i], y), rel=1e-12, abs=1e-12
                     )
 
     def test_true_label_scores(self):
@@ -467,11 +448,11 @@ class TestFamilyProperties:
         for _ in range(100):
             z = random_tie_free(rng, low=-10.0, high=10.0)
             y = int(rng.integers(0, z.size))
-            lm = score_log_margin(z, y)
-            m = rank_of_label(z, y) - 1
+            lm = score_one(LOG_MARGIN, z, y)
+            m = rank_of(z, y) - 1
             prev = math.inf
             for delta in (4.0, 16.0, 64.0):
-                s = score_entmax(z, y, 1.0 + 1.0 / delta)
+                s = score_one(ScoreKind.entmax(1.0 + 1.0 / delta), z, y)
                 assert lm <= s <= prev + 1e-12
                 assert s <= lm * max(1, m) ** (1.0 / delta) + 1e-12
                 prev = s
