@@ -7,13 +7,7 @@ baselines (inverse probability, RAPS) on coverage, efficiency, and
 adaptiveness.
 """
 
-from .activations import (
-    EntmaxConfig,
-    SparseDistribution,
-    entmax,
-    softmax,
-    sparsemax,
-)
+from .activations import entmax
 from .conformal import (
     CalibratedPredictor,
     LabeledLogitDataset,

@@ -1,7 +1,7 @@
-"""The gamma-entmax family of simplex transformations.
+"""The gamma-entmax family of simplex transformations, one batch of rows at a time.
 
-Maps a score vector z in R^K to a probability vector.  The family
-interpolates between softmax (gamma=1, always dense) and sparsemax
+Maps each row z in R^K of a score array to a probability vector.  The
+family interpolates between softmax (gamma=1, always dense) and sparsemax
 (gamma=2, the Euclidean projection onto the simplex, often sparse);
 intermediate gamma values are computed by bisection on the normalization
 threshold.  For gamma > 1 the output can assign exact zeros, so the set of
@@ -15,20 +15,11 @@ entmax generalization via Tsallis entropies to Peters, Niculae & Martins
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidGamma, InvalidInput, NonConvergence
+from .errors import InvalidGamma, InvalidInput, NonConvergence, checked
 
-__all__ = [
-    "EntmaxConfig",
-    "SparseDistribution",
-    "descending_order",
-    "entmax",
-    "softmax",
-    "sparsemax",
-]
+__all__ = ["descending_order", "entmax"]
 
 # Ramp arguments at or below this (relative) level count as zero when
 # extracting the support; absorbs round-off in the bisected threshold
@@ -40,49 +31,6 @@ _SUPPORT_EPS = 1e-13
 # any tolerance used elsewhere in the package.
 _BISECT_TOL = 1e-9
 _MAX_ITERS = 100
-
-
-@dataclass(frozen=True)
-class EntmaxConfig:
-    """The entropic index ``gamma`` of :func:`entmax`, checked to lie in [1, 2]."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.gamma) or not 1.0 <= self.gamma <= 2.0:
-            raise InvalidGamma(f"gamma must lie in [1, 2], got {self.gamma}")
-
-
-@dataclass(frozen=True)
-class SparseDistribution:
-    """A probability vector together with its support and threshold.
-
-    ``probs[j] > 0`` exactly when ``j`` is listed in ``support``.  ``tau``
-    is the normalization threshold: for gamma > 1 the probabilities are
-    ``relu((gamma-1)*z - tau) ** (1/(gamma-1))`` (up to a final
-    renormalization); for gamma = 1 it is the log-partition, so that
-    ``probs = exp(z - tau)``.
-    """
-
-    probs: np.ndarray
-    support: np.ndarray
-    tau: float
-    gamma: float
-
-    @property
-    def support_size(self) -> int:
-        return int(self.support.size)
-
-
-def _as_logits(z) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise InvalidInput(f"expected a 1-D score vector, got shape {z.shape}")
-    if z.size < 2:
-        raise InvalidInput("need at least two classes")
-    if not np.all(np.isfinite(z)):
-        raise InvalidInput("scores must be finite")
-    return z
 
 
 def _as_logit_rows(Z) -> np.ndarray:
@@ -99,21 +47,18 @@ def _as_logit_rows(Z) -> np.ndarray:
 def descending_order(z: np.ndarray) -> np.ndarray:
     """Indices sorting ``z`` descending along its last axis, ties by lower index first.
 
-    This single ordering is shared by every sort in the package so that
-    tie-breaking is consistent between activations and scores.
+    Every label's rank in the package comes from this one ordering, so ties
+    are broken alike wherever a rank matters.  :func:`_sparsemax_batch`
+    sorts values alone, with ``np.sort``: the order of tied values does not
+    change its result.
     """
     return np.argsort(-z, axis=-1, kind="stable")
 
 
-def softmax(z) -> SparseDistribution:
-    """Dense exponential normalization, stabilized by max subtraction."""
-    z = _as_logits(z)
-    zmax = z.max()
-    e = np.exp(z - zmax)
-    total = e.sum()
-    probs = e / total
-    tau = float(np.log(total) + zmax)
-    return SparseDistribution(probs=probs, support=np.arange(z.size), tau=tau, gamma=1.0)
+def _softmax_rows(Z: np.ndarray) -> np.ndarray:
+    """Row-wise exponential normalization, stabilized by max subtraction."""
+    e = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _sparsemax_batch(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,23 +77,6 @@ def _sparsemax_batch(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tau = (cssv[np.arange(n), ks - 1] - 1.0) / ks
     probs = np.maximum(Z - tau[:, None], 0.0)
     return probs, tau
-
-
-def sparsemax(z) -> SparseDistribution:
-    """Euclidean projection of ``z`` onto the probability simplex.
-
-    Produces exact zeros outside the support; equals gamma-entmax at
-    gamma = 2 in closed form.
-    """
-    z = _as_logits(z)
-    probs, tau = _sparsemax_batch(z[None, :])
-    probs = probs[0]
-    return SparseDistribution(
-        probs=probs,
-        support=np.flatnonzero(probs > 0.0),
-        tau=float(tau[0]),
-        gamma=2.0,
-    )
 
 
 def _entmax_bisect_batch(
@@ -215,29 +143,23 @@ def _entmax_bisect_batch(
     return probs, tau + xmax, support
 
 
-def entmax(z, cfg: EntmaxConfig) -> SparseDistribution:
-    """gamma-entmax transformation of a score vector.
+def entmax(Z, gamma: float) -> np.ndarray:
+    """gamma-entmax of every row of ``Z``; shape (n, K).
 
-    Delegates to :func:`softmax` at gamma = 1 and to :func:`sparsemax` at
-    gamma = 2; otherwise bisects the normalization threshold (see
-    :func:`_entmax_bisect_batch`).
-
-    Parameters
-    ----------
-    z : array-like, shape (K,)
-        Label scores.
-    cfg : EntmaxConfig
-        Entropic index.
+    ``Z`` is an (n, K) array of finite label scores with K >= 2, and
+    ``gamma`` lies in [1, 2]: softmax at gamma = 1, sparsemax at gamma = 2
+    (:func:`_sparsemax_batch`), and threshold bisection in between
+    (:func:`_entmax_bisect_batch`, to 1e-9 on each row's probability sum).
+    Rows are transformed independently: a row's probabilities do not
+    depend on the other rows of the batch.  One row ``z`` is the batch
+    ``z[None]``, and its support is ``np.flatnonzero(p > 0)``.
     """
-    z = _as_logits(z)
-    if cfg.gamma == 1.0:
-        return softmax(z)
-    if cfg.gamma == 2.0:
-        return sparsemax(z)
-    probs, tau, support = _entmax_bisect_batch(z[None, :], cfg.gamma, _BISECT_TOL)
-    return SparseDistribution(
-        probs=probs[0],
-        support=np.flatnonzero(support[0]),
-        tau=float(tau[0]),
-        gamma=cfg.gamma,
-    )
+    Z = _as_logit_rows(Z)
+    gamma = checked(gamma, float, "gamma")
+    if not np.isfinite(gamma) or not 1.0 <= gamma <= 2.0:
+        raise InvalidGamma(f"gamma must lie in [1, 2], got {gamma}")
+    if gamma == 1.0:
+        return _softmax_rows(Z)
+    if gamma == 2.0:
+        return _sparsemax_batch(Z)[0]
+    return _entmax_bisect_batch(Z, gamma, _BISECT_TOL)[0]

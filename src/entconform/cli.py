@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .activations import EntmaxConfig, entmax
+from .activations import entmax
 from .conformal import CalibratedPredictor, calibrate, set_masks
 from .errors import EntconformError, IoError, ValidationError
 from .harness import (
@@ -59,17 +59,15 @@ def _cmd_transform(args) -> int:
         # with their line, as it does for an input file.
         sys.stdin.reconfigure(errors="surrogateescape")
     logits, _ = _read_logits_csv(sys.stdin)
-    cfg = EntmaxConfig(gamma=args.gamma)
     if args.beta < 0.0:
         raise ValidationError(f"beta must be nonnegative, got {args.beta}")
     with np.errstate(over="ignore", invalid="ignore"):
         Zb = args.beta * logits
     if not np.all(np.isfinite(Zb)):
         raise ValidationError(f"beta * logits is not finite for beta = {args.beta}")
-    print(",".join(f"p{i}" for i in range(logits.shape[1])))
-    for row in Zb:
-        dist = entmax(row, cfg)
-        print(",".join(f"{p:.6f}" for p in dist.probs))
+    probs = entmax(Zb, args.gamma)
+    header = ",".join(f"p{i}" for i in range(probs.shape[1]))
+    np.savetxt(sys.stdout, probs, fmt="%.6f", delimiter=",", header=header, comments="")
     return 0
 
 

@@ -249,14 +249,19 @@ def support_sets_via_entmax(Z, beta: float, gamma: float) -> list[PredictionSet]
     tolerance is tighter than :func:`entconform.activations.entmax`'s
     because this function exists to adjudicate set membership: finer than
     the spacing of floats near 1, so a row runs until its bracket stops
-    moving.
+    moving.  A ``beta`` for which ``beta * Z`` overflows raises
+    :class:`InvalidInput`.
     """
     Z = _as_logit_rows(Z)
+    beta = checked(beta, float, "beta")
     if not np.isfinite(beta) or beta <= 0.0:
         raise InvalidInput(f"beta must be finite and positive, got {beta}")
     if not 1.0 < gamma <= 2.0:
         raise InvalidGamma(f"gamma must lie in (1, 2], got {gamma}")
-    Zb = beta * Z
+    with np.errstate(over="ignore"):
+        Zb = beta * Z
+    if not np.all(np.isfinite(Zb)):
+        raise InvalidInput(f"beta * Z is not finite for beta = {beta}")
     if gamma == 2.0:
         probs, _ = _sparsemax_batch(Zb)
         masks = probs > 0.0

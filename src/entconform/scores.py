@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .activations import _as_logit_rows, descending_order
+from .activations import _as_logit_rows, _softmax_rows, descending_order
 from .errors import InvalidGamma, InvalidInput, LabelOutOfRange, checked
 
 __all__ = [
@@ -200,17 +200,16 @@ def _as_labels(labels) -> np.ndarray:
 
 
 def _sorted_blocks(Z: np.ndarray):
-    """The one sort of every rank-order score: yields ``(rows, order, sorted
-    rows, rank position per label)`` for each block of at most
-    ``_CHUNK_CELLS // K`` rows, ``rows`` being the block's slice of ``Z``."""
+    """The one sort of every score: yields ``(rows, order, sorted rows)`` for
+    each block of at most ``_CHUNK_CELLS // K`` rows, ``rows`` being the
+    block's slice of ``Z``.  Scores in rank order go back to label order by
+    scattering them through ``order``."""
     n, k = Z.shape
     block = max(1, _CHUNK_CELLS // k)
     for start in range(0, n, block):
         rows = slice(start, start + block)
         order = descending_order(Z[rows])
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.arange(k), axis=1)
-        yield rows, order, np.take_along_axis(Z[rows], order, axis=1), ranks
+        yield rows, order, np.take_along_axis(Z[rows], order, axis=1)
 
 
 def _sparsemax_all_sorted(zs: np.ndarray) -> np.ndarray:
@@ -327,11 +326,6 @@ def _entmax_prefix(zs: np.ndarray, delta: float, q: float) -> np.ndarray:
     return prefix
 
 
-def _softmax_rows(Z: np.ndarray) -> np.ndarray:
-    e = np.exp(Z - Z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _raps_sorted(Z: np.ndarray, order: np.ndarray, params: RapsParams, u) -> np.ndarray:
     if params.k_reg > Z.shape[1]:
         raise InvalidInput(
@@ -361,15 +355,17 @@ def _resolve_u(n: int, u) -> np.ndarray:
 
 
 def _rank_order_scores(Z, order, zs, kind: ScoreKind, u, at=None) -> np.ndarray:
-    """One block's scores in rank order, for every kind but inv-prob:
-    ``s[i, j]`` is the score of row i's label at the 0-based rank ``at[i, j]``
-    (at every rank when ``at`` is None).  ``Z``, ``order``, ``zs`` and ``u``
-    are the block's rows, its order, its sorted rows and its RAPS weights."""
+    """One block's scores in rank order: ``s[i, j]`` is the score of row i's
+    label at the 0-based rank ``at[i, j]`` (at every rank when ``at`` is
+    None).  ``Z``, ``order``, ``zs`` and ``u`` are the block's rows, its
+    order, its sorted rows and its RAPS weights."""
     if kind.variant == "entmax":
         delta = 1.0 / (kind.gamma - 1.0)
         return _entmax_all_sorted(zs, delta) if at is None else _entmax_at(zs, at, delta)
     if kind.variant == "raps":
         s = _raps_sorted(Z, order, kind.raps_params, u)
+    elif kind.variant == "inv_prob":
+        s = 1.0 - np.take_along_axis(_softmax_rows(Z), order, axis=1)
     elif kind.variant == "sparsemax":
         s = _sparsemax_all_sorted(zs)
     else:
@@ -386,12 +382,10 @@ def all_label_scores(Z, kind: ScoreKind, u=None) -> np.ndarray:
     """
     Z = _as_logit_rows(Z)
     u = _resolve_u(Z.shape[0], u)
-    if kind.variant == "inv_prob":
-        return 1.0 - _softmax_rows(Z)
     out = np.empty(Z.shape)
-    for rows, order, zs, ranks in _sorted_blocks(Z):
+    for rows, order, zs in _sorted_blocks(Z):
         s = _rank_order_scores(Z[rows], order, zs, kind, u[rows])
-        out[rows] = np.take_along_axis(s, ranks, axis=1)
+        np.put_along_axis(out[rows], order, s, axis=1)
     return out
 
 
@@ -405,15 +399,13 @@ def threshold_masks(Z, kind: ScoreKind, q: float, u=None) -> np.ndarray:
     """
     Z = _as_logit_rows(Z)
     u = _resolve_u(Z.shape[0], u)
-    if kind.variant == "inv_prob":
-        return 1.0 - _softmax_rows(Z) <= q
     mask = np.empty(Z.shape, dtype=bool)
-    for rows, order, zs, ranks in _sorted_blocks(Z):
+    for rows, order, zs in _sorted_blocks(Z):
         if kind.variant == "entmax":
             inside = _entmax_prefix(zs, 1.0 / (kind.gamma - 1.0), q)
         else:
             inside = _rank_order_scores(Z[rows], order, zs, kind, u[rows]) <= q
-        mask[rows] = np.take_along_axis(inside, ranks, axis=1)
+        np.put_along_axis(mask[rows], order, inside, axis=1)
     return mask
 
 
@@ -434,10 +426,8 @@ def true_label_scores(Z, labels, kind: ScoreKind, u=None) -> np.ndarray:
     if np.any(labels < 0) or np.any(labels >= Z.shape[1]):
         raise LabelOutOfRange("label index outside the class range")
     u = _resolve_u(Z.shape[0], u)
-    if kind.variant == "inv_prob":
-        return 1.0 - _softmax_rows(Z)[np.arange(Z.shape[0]), labels]
     out = np.empty(Z.shape[0])
-    for rows, order, zs, ranks in _sorted_blocks(Z):
-        at = np.take_along_axis(ranks, labels[rows, None], axis=1)
+    for rows, order, zs in _sorted_blocks(Z):
+        at = np.argmax(order == labels[rows, None], axis=1)[:, None]
         out[rows] = _rank_order_scores(Z[rows], order, zs, kind, u[rows], at)[:, 0]
     return out

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from entconform import (
-    EntmaxConfig,
-    InvalidGamma,
-    InvalidInput,
-    entmax,
-    softmax,
-    sparsemax,
-)
+from entconform import InvalidGamma, InvalidInput, entmax
 
-from entconform.activations import _entmax_bisect_batch
+from entconform.activations import (
+    _BISECT_TOL,
+    _entmax_bisect_batch,
+    _softmax_rows,
+    _sparsemax_batch,
+)
 
 from oracles import (
     entmax_bisect_every_iteration,
@@ -26,57 +24,61 @@ from synth import make_task
 Z5 = np.array([1.0, -1.0, -0.2, 0.4, -0.5])
 
 
+def one_row(z, gamma):
+    """gamma-entmax of the single score vector ``z``: a batch of one row."""
+    return entmax(np.asarray(z)[None], gamma)[0]
+
+
 class TestSoftmax:
     def test_symmetry(self):
-        np.testing.assert_allclose(softmax([0.0, 0.0, 0.0]).probs, 1.0 / 3, atol=1e-15)
+        np.testing.assert_allclose(one_row([0.0, 0.0, 0.0], 1.0), 1.0 / 3, atol=1e-15)
 
     @pytest.mark.parametrize("c", [0.0, 5.0, -3.0])
     def test_log_three_ratio(self, c):
         # exp ratio 1:3 puts exactly 0.25 / 0.75 on the two labels
         np.testing.assert_allclose(
-            softmax([c, c + math.log(3.0)]).probs, [0.25, 0.75], atol=1e-12
+            one_row([c, c + math.log(3.0)], 1.0), [0.25, 0.75], atol=1e-12
         )
 
     def test_zero_temperature_limit_monotone(self):
         z = np.array([1.0, 0.0])
         prev = 0.0
         for beta in [1.0, 4.0, 16.0, 64.0, 256.0]:
-            p0 = softmax(beta * z).probs[0]
+            p0 = one_row(beta * z, 1.0)[0]
             assert p0 >= prev
             prev = p0
         assert prev > 1.0 - 1e-12
 
     def test_overflow_guard(self):
-        p = softmax([1000.0, 999.0, 0.0]).probs
+        p = one_row([1000.0, 999.0, 0.0], 1.0)
         assert np.all(np.isfinite(p))
         np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
 
-    def test_dense_support_and_gamma(self):
-        d = softmax(Z5)
-        assert d.gamma == 1.0
-        np.testing.assert_array_equal(d.support, np.arange(5))
-        # tau is the log-partition: probs == exp(z - tau)
-        np.testing.assert_allclose(d.probs, np.exp(Z5 - d.tau), atol=1e-12)
+    def test_dense_support(self):
+        p = one_row(Z5, 1.0)
+        np.testing.assert_array_equal(np.flatnonzero(p > 0.0), np.arange(5))
+        # probs == exp(z - log-partition)
+        np.testing.assert_allclose(p, np.exp(Z5 - np.log(np.exp(Z5).sum())), atol=1e-12)
 
 
 class TestSparsemax:
     def test_worked_example(self):
-        d = sparsemax(Z5)
-        np.testing.assert_allclose(d.probs, [0.8, 0.0, 0.0, 0.2, 0.0], atol=1e-12)
-        assert abs(d.tau - 0.2) < 1e-12
-        np.testing.assert_array_equal(d.support, [0, 3])
-        assert d.gamma == 2.0
+        p = one_row(Z5, 2.0)
+        np.testing.assert_allclose(p, [0.8, 0.0, 0.0, 0.2, 0.0], atol=1e-12)
+        _, tau = _sparsemax_batch(Z5[None])
+        assert abs(tau[0] - 0.2) < 1e-12
+        np.testing.assert_array_equal(np.flatnonzero(p > 0.0), [0, 3])
 
     def test_all_equal_gives_uniform(self):
         for k in (2, 3, 7):
-            d = sparsemax(np.full(k, 3.3))
-            np.testing.assert_allclose(d.probs, 1.0 / k, atol=1e-12)
-            assert d.support.size == k
+            p = one_row(np.full(k, 3.3), 2.0)
+            np.testing.assert_allclose(p, 1.0 / k, atol=1e-12)
+            assert np.count_nonzero(p > 0.0) == k
 
     def test_big_margin_is_one_hot(self):
-        d = sparsemax([10.0, 0.0])
-        np.testing.assert_array_equal(d.probs, [1.0, 0.0])
-        np.testing.assert_array_equal(d.support, [0])
+        p = one_row([10.0, 0.0], 2.0)
+        np.testing.assert_array_equal(p, [1.0, 0.0])
+        np.testing.assert_array_equal(np.flatnonzero(p > 0.0), [0])
 
     def test_matches_bruteforce_projection_on_grid(self):
         grid = [-1.0, -0.3, 0.0, 0.4, 1.0]
@@ -85,7 +87,7 @@ class TestSparsemax:
             k = rng.integers(2, 7)
             z = rng.choice(grid, size=k)
             np.testing.assert_allclose(
-                sparsemax(z).probs, project_simplex_bruteforce(z), atol=1e-9
+                one_row(z, 2.0), project_simplex_bruteforce(z), atol=1e-9
             )
 
     def test_matches_bruteforce_projection_random(self):
@@ -94,32 +96,31 @@ class TestSparsemax:
             k = rng.integers(2, 7)
             z = rng.uniform(-4.0, 4.0, size=k)
             np.testing.assert_allclose(
-                sparsemax(z).probs, project_simplex_bruteforce(z), atol=1e-9
+                one_row(z, 2.0), project_simplex_bruteforce(z), atol=1e-9
             )
 
 
 class TestEntmax:
     def test_symmetric_pair(self):
-        d = entmax([0.0, 0.0], EntmaxConfig(1.5))
-        np.testing.assert_allclose(d.probs, [0.5, 0.5], atol=1e-9)
+        np.testing.assert_allclose(one_row([0.0, 0.0], 1.5), [0.5, 0.5], atol=1e-9)
 
     def test_gamma_two_delegates_to_sparsemax(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             z = rng.uniform(-3.0, 3.0, size=rng.integers(2, 9))
             np.testing.assert_allclose(
-                entmax(z, EntmaxConfig(2.0)).probs, sparsemax(z).probs, atol=1e-6
+                one_row(z, 2.0), _sparsemax_batch(z[None])[0][0], atol=1e-6
             )
 
     def test_gamma_one_delegates_to_softmax(self):
         z = Z5
         np.testing.assert_allclose(
-            entmax(z, EntmaxConfig(1.0)).probs, softmax(z).probs, atol=0
+            one_row(z, 1.0), _softmax_rows(z[None])[0], atol=0
         )
 
     def test_objective_dominance_worked_example(self):
         gamma = 1.5
-        p_star = entmax(Z5, EntmaxConfig(gamma)).probs
+        p_star = one_row(Z5, gamma)
         best = entmax_objective(p_star, Z5, gamma)
         rng = np.random.default_rng(7)
         for q in random_simplex_points(rng, 5, 1000):
@@ -131,7 +132,7 @@ class TestEntmax:
             k = rng.integers(2, 8)
             z = rng.uniform(-4.0, 4.0, size=k)
             gamma = rng.uniform(1.05, 1.95)
-            p_star = entmax(z, EntmaxConfig(gamma)).probs
+            p_star = one_row(z, gamma)
             best = entmax_objective(p_star, z, gamma)
             # mixtures of the solution with random simplex points probe
             # the neighborhood as well as far-away corners
@@ -141,16 +142,18 @@ class TestEntmax:
                     assert best >= entmax_objective(cand, z, gamma) - 1e-9
 
     def test_rejects_bad_logits(self):
-        for transform in (softmax, sparsemax, lambda z: entmax(z, EntmaxConfig(1.5))):
+        for gamma in (1.0, 2.0, 1.5):
             with pytest.raises(InvalidInput):
-                transform([1.0])
+                one_row([1.0], gamma)
             with pytest.raises(InvalidInput):
-                transform([1.0, math.nan])
+                one_row([1.0, math.nan], gamma)
 
     def test_invalid_gamma_rejected(self):
         for gamma in (0.5, 2.5, math.nan):
-            with pytest.raises(InvalidGamma):
-                EntmaxConfig(gamma)
+            with pytest.raises(InvalidGamma, match=r"gamma must lie in \[1, 2\], got"):
+                entmax(Z5[None], gamma)
+        with pytest.raises(InvalidInput):
+            entmax(Z5[None], "1.5")
 
     def test_nonconvergence_when_iterations_exhausted_far_from_one(self, monkeypatch):
         from entconform import NonConvergence
@@ -158,7 +161,7 @@ class TestEntmax:
         # a single halving step cannot normalize a symmetric pair
         monkeypatch.setattr("entconform.activations._MAX_ITERS", 1)
         with pytest.raises(NonConvergence):
-            entmax([0.0, 0.0], EntmaxConfig(1.5))
+            one_row([0.0, 0.0], 1.5)
 
     def test_support_matches_positive_probs(self):
         rng = np.random.default_rng(9)
@@ -166,8 +169,9 @@ class TestEntmax:
             k = rng.integers(2, 10)
             z = rng.uniform(-5.0, 5.0, size=k)
             gamma = rng.choice([1.2, 1.5, 1.8])
-            d = entmax(z, EntmaxConfig(gamma))
-            np.testing.assert_array_equal(np.flatnonzero(d.probs > 0.0), d.support)
+            probs, _, support = _entmax_bisect_batch(z[None], gamma, _BISECT_TOL)
+            np.testing.assert_array_equal(probs > 0.0, support)
+            np.testing.assert_array_equal(probs[0], one_row(z, gamma))
 
 
 class TestBisectionStop:
@@ -193,6 +197,24 @@ class TestBisectionStop:
                     assert g.tobytes() == w.tobytes()
 
 
+class TestBatchRows:
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
+    def test_rows_are_independent(self, gamma):
+        # a row's probabilities are the same bits in any batch, so one call
+        # over every row equals one call per row
+        rng = np.random.default_rng(42)
+        for k in (2, 10, 300):
+            draws = (
+                rng.normal(size=(16, k)) * 3.0,
+                rng.normal(size=(16, k)) + 1e6,
+                rng.integers(0, 3, size=(16, k)).astype(float),
+            )
+            for Z in draws:
+                batch = entmax(Z, gamma)
+                for i in range(Z.shape[0]):
+                    assert batch[i].tobytes() == entmax(Z[i : i + 1], gamma)[0].tobytes()
+
+
 class TestEntmaxInvariants:
     GAMMAS = [1.0, 1.1, 1.25, 1.5, 1.75, 1.9, 2.0]
 
@@ -202,7 +224,7 @@ class TestEntmaxInvariants:
             k = rng.integers(2, 12)
             z = rng.uniform(-6.0, 6.0, size=k)
             for gamma in self.GAMMAS:
-                p = entmax(z, EntmaxConfig(gamma)).probs
+                p = one_row(z, gamma)
                 assert np.all(p >= 0.0)
                 assert abs(p.sum() - 1.0) <= 1e-8
 
@@ -214,8 +236,8 @@ class TestEntmaxInvariants:
             c = rng.uniform(-20.0, 20.0)
             for gamma in self.GAMMAS:
                 np.testing.assert_allclose(
-                    entmax(z + c, EntmaxConfig(gamma)).probs,
-                    entmax(z, EntmaxConfig(gamma)).probs,
+                    one_row(z + c, gamma),
+                    one_row(z, gamma),
                     atol=1e-8,
                 )
 
@@ -227,8 +249,8 @@ class TestEntmaxInvariants:
             perm = rng.permutation(k)
             for gamma in self.GAMMAS:
                 np.testing.assert_allclose(
-                    entmax(z[perm], EntmaxConfig(gamma)).probs,
-                    entmax(z, EntmaxConfig(gamma)).probs[perm],
+                    one_row(z[perm], gamma),
+                    one_row(z, gamma)[perm],
                     atol=1e-9,
                 )
 
@@ -238,10 +260,10 @@ class TestEntmaxInvariants:
             k = rng.integers(2, 8)
             z = rng.uniform(-3.0, 3.0, size=k)
             np.testing.assert_allclose(
-                entmax(z, EntmaxConfig(1.0 + 1e-6)).probs, softmax(z).probs, atol=1e-3
+                one_row(z, 1.0 + 1e-6), one_row(z, 1.0), atol=1e-3
             )
             np.testing.assert_allclose(
-                entmax(z, EntmaxConfig(2.0 - 1e-6)).probs, sparsemax(z).probs, atol=1e-3
+                one_row(z, 2.0 - 1e-6), one_row(z, 2.0), atol=1e-3
             )
 
     def test_saturation_at_finite_beta(self):
@@ -255,7 +277,7 @@ class TestEntmaxInvariants:
             for gamma in (1.25, 1.5, 2.0):
                 beta = 1.0
                 while beta <= 2.0**64:
-                    if entmax(beta * z, EntmaxConfig(gamma)).support_size == 1:
+                    if np.count_nonzero(one_row(beta * z, gamma) > 0.0) == 1:
                         break
                     beta *= 2.0
                 else:
@@ -304,7 +326,7 @@ class TestEntmaxObjective:
 
     def test_argmax_definition(self):
         gamma = 1.5
-        p_star = entmax(Z5, EntmaxConfig(gamma)).probs
+        p_star = one_row(Z5, gamma)
         rng = np.random.default_rng(31)
         best = entmax_objective(p_star, Z5, gamma)
         for q in random_simplex_points(rng, 5, 200):

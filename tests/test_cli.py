@@ -83,6 +83,20 @@ class TestTransform:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("gamma", ["2.5", "0.5", "nan"])
+    def test_bad_gamma_exits_2_before_output(self, monkeypatch, capsys, gamma):
+        code, out = self.run(["transform", "--gamma", gamma], "z0,z1\n1,0\n", monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+
+    def test_nonconvergence_exits_3_before_output(self, monkeypatch, capsys):
+        # a single halving cannot normalize a tied pair; the header must
+        # not go out ahead of the error
+        monkeypatch.setattr("entconform.activations._MAX_ITERS", 1)
+        code, out = self.run(["transform", "--gamma", "1.5"], "z0,z1\n0,0\n", monkeypatch, capsys)
+        assert code == 3
+        assert out == ""
+
     @pytest.mark.parametrize(
         "stdin_text, beta, row",
         [

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,18 @@ class TestSupportSetViaEntmax:
             with pytest.raises(InvalidInput):
                 support_one(Z5, beta, 1.5)
 
+    @pytest.mark.parametrize(
+        "beta, gamma", [(1e308, 2.0), (1e308, 1.5), ("x", 2.0)],
+        ids=["overflow-sparsemax", "overflow-entmax", "text"],
+    )
+    def test_beta_that_breaks_the_product_rejected(self, beta, gamma):
+        # 1e308 * Z overflows: the sparsemax route returned empty sets and
+        # the bisection sets out of NaN arithmetic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidInput):
+                support_sets_via_entmax([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5]], beta, gamma)
+
     def test_gap_sum_condition_matches_sparsemax_support(self):
         # at gamma = 2 membership is exactly "gap sum below 1/beta"
         rng = np.random.default_rng(81)
@@ -411,8 +424,8 @@ class TestRankSearch:
                 assert sum(seen) <= np.count_nonzero(near.any(axis=1))
 
     def test_row_blocks_change_no_bit(self, monkeypatch):
-        # every rank-order kind's sets, the randomized RAPS one with a
-        # weight per row among them, are the same in one block or in eight
+        # every kind's sets, the randomized RAPS one with a weight per row
+        # among them, are the same in one block or in eight
         rng = np.random.default_rng(6)
         Z = rng.normal(size=(50, 57))
         cal = LabeledLogitDataset(Z, rng.integers(0, 57, 50))
@@ -420,6 +433,7 @@ class TestRankSearch:
         kinds = [
             ScoreKind.sparsemax(),
             ScoreKind.log_margin(),
+            ScoreKind.inv_prob(),
             ScoreKind.raps(RapsParams(0.01, 2)),
             ScoreKind.raps(RapsParams(0.01, 2, randomized=True)),
             *(ScoreKind.entmax(gamma) for gamma in (1.1, 1.5, 1.9)),

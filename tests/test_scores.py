@@ -303,15 +303,19 @@ class TestVectorizedAgainstScalar:
         [
             (ScoreKind.sparsemax(), False),
             (ScoreKind.log_margin(), False),
+            (ScoreKind.inv_prob(), False),
             (ScoreKind.raps(RapsParams(0.01, 2)), False),
             (ScoreKind.raps(RapsParams(0.01, 2, randomized=True)), True),
             *((ScoreKind.entmax(gamma), False) for gamma in (1.1, 1.5, 1.9)),
         ],
-        ids=["sparsemax", "log_margin", "raps", "raps-randomized", "1.1", "1.5", "1.9"],
+        ids=[
+            "sparsemax", "log_margin", "inv_prob", "raps", "raps-randomized",
+            "1.1", "1.5", "1.9",
+        ],
     )
     def test_entmax_true_label_blocks_change_no_bit(self, kind, per_row_u, monkeypatch):
-        # every rank-order kind gives the same bits through every entry
-        # point whether its rows are sorted in one block or in eight
+        # every kind gives the same bits through every entry point whether
+        # its rows are sorted in one block or in eight
         import entconform.scores as scores_mod
 
         rng = np.random.default_rng(61)
@@ -341,22 +345,24 @@ class TestVectorizedAgainstScalar:
             assert blocked.tobytes() == whole[name].tobytes(), name
 
     @pytest.mark.parametrize(
-        "kind",
+        "kind, n",
         [
-            ScoreKind.sparsemax(),
-            ScoreKind.log_margin(),
-            ScoreKind.raps(RapsParams(0.01, 5)),
-            ScoreKind.entmax(1.5),
+            (ScoreKind.sparsemax(), 4000),
+            (ScoreKind.log_margin(), 4000),
+            (ScoreKind.raps(RapsParams(0.01, 5)), 4000),
+            (ScoreKind.entmax(1.5), 4000),
+            (ScoreKind.inv_prob(), 8000),
         ],
-        ids=["sparsemax", "log_margin", "raps", "1.5"],
+        ids=["sparsemax", "log_margin", "raps", "1.5", "inv_prob"],
     )
-    def test_block_bounds_peak_memory(self, kind):
-        # numpy reports its buffers to tracemalloc.  Beside the 32 MB input,
-        # which the caller holds, a call keeps a few 8 MB block temporaries
-        # and its output; sorting the input whole held several 32 MB ones
+    def test_block_bounds_peak_memory(self, kind, n):
+        # numpy reports its buffers to tracemalloc.  Beside the n x 1000
+        # input (32 MB at n = 4000), which the caller holds, a call keeps a
+        # few 8 MB block temporaries and its output; scoring the input whole
+        # held several input-sized ones
         rng = np.random.default_rng(66)
-        Z = rng.normal(size=(4000, 1000))
-        labels = rng.integers(0, 1000, size=4000)
+        Z = rng.normal(size=(n, 1000))
+        labels = rng.integers(0, 1000, size=n)
         tracemalloc.start()
         try:
             s = true_label_scores(Z, labels, kind)
