@@ -30,7 +30,16 @@ from .errors import (
     LabelOutOfRange,
     checked,
 )
-from .scores import ScoreKind, _as_labels, threshold_masks, true_label_scores
+from .scores import (
+    ScoreKind,
+    _as_labels,
+    _rank_sets,
+    _SortedRows,
+    _resolve_u,
+    _true_scores,
+    threshold_masks,
+    true_label_scores,
+)
 
 __all__ = [
     "CalibratedPredictor",
@@ -164,25 +173,66 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _calibration_scores(scores) -> np.ndarray:
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1:
+        raise InvalidInput("scores must be a 1-D sequence")
+    if scores.size == 0:
+        raise EmptyCalibration("no calibration scores")
+    if not np.all(np.isfinite(scores)):
+        raise InvalidInput("calibration scores must be finite")
+    return scores
+
+
+def _quantile_rank(n: int, alpha: float) -> int:
+    return math.ceil((n + 1) * (1.0 - _check_alpha(alpha)))
+
+
 def conformal_quantile(scores, alpha: float) -> float:
     """ceil((n+1)(1-alpha))-th smallest score, or +inf when out of range.
 
     Duplicates count: this is the order statistic, not an interpolated
     quantile.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise InvalidInput("scores must be a 1-D sequence")
+    scores = _calibration_scores(scores)
     n = scores.size
-    if n == 0:
-        raise EmptyCalibration("no calibration scores")
-    if not np.all(np.isfinite(scores)):
-        raise InvalidInput("calibration scores must be finite")
-    alpha = _check_alpha(alpha)
-    r = math.ceil((n + 1) * (1.0 - alpha))
+    r = _quantile_rank(n, alpha)
     if r > n:
         return math.inf
     return float(np.partition(scores, r - 1)[r - 1])
+
+
+def _order_statistic(ordered: np.ndarray, alpha: float) -> float:
+    """:func:`conformal_quantile` of scores sorted ascending: the element at
+    index r - 1 of the sorted scores is the one that ``np.partition`` puts
+    there."""
+    n = ordered.size
+    r = _quantile_rank(n, alpha)
+    return math.inf if r > n else float(ordered[r - 1])
+
+
+def _draw_u(kind: ScoreKind, n: int, stream: int):
+    """Per-instance RAPS weights of a randomized RAPS kind, drawn from
+    ``default_rng(params.rng_seed + stream)``; None for every other kind."""
+    if kind.variant == "raps" and kind.raps_params.randomized:
+        return np.random.default_rng(kind.raps_params.rng_seed + stream).uniform(size=n)
+    return None
+
+
+def _sorted_scores(cal, kind: ScoreKind) -> np.ndarray:
+    """The calibration scores of ``cal`` under ``kind``, sorted ascending.
+
+    A sorted view (:class:`entconform.scores._SortedRows`) scores each kind
+    once and keeps the sorted vector for every later alpha; a dataset is
+    scored in row blocks and keeps nothing.
+    """
+    if not isinstance(cal, _SortedRows):
+        u = _draw_u(kind, cal.n, 0)
+        return np.sort(_calibration_scores(true_label_scores(cal.logits, cal.labels, kind, u=u)))
+    if kind not in cal.sorted_scores:
+        u = _resolve_u(cal.n, _draw_u(kind, cal.n, 0))
+        cal.sorted_scores[kind] = np.sort(_calibration_scores(_true_scores(cal, kind, u)))
+    return cal.sorted_scores[kind]
 
 
 def calibrate(cal: LabeledLogitDataset, kind: ScoreKind, alpha: float) -> CalibratedPredictor:
@@ -190,19 +240,16 @@ def calibrate(cal: LabeledLogitDataset, kind: ScoreKind, alpha: float) -> Calibr
 
     For the randomized RAPS kind, per-instance uniform weights are drawn
     from ``default_rng(params.rng_seed)`` so calibration is reproducible.
+    ``cal`` may also be the sorted view of the calibration pairs that a
+    sweep shares among its methods, alphas and grid points.
     """
     alpha = _check_alpha(alpha)
     if cal.n == 0:
         raise EmptyCalibration("calibration dataset is empty")
-    u = None
-    if kind.variant == "raps" and kind.raps_params.randomized:
-        u = np.random.default_rng(kind.raps_params.rng_seed).uniform(size=cal.n)
-    s = true_label_scores(cal.logits, cal.labels, kind, u=u)
-    q_hat = conformal_quantile(s, alpha)
     return CalibratedPredictor(
         score_kind=kind,
         alpha=alpha,
-        q_hat=q_hat,
+        q_hat=_order_statistic(_sorted_scores(cal, kind), alpha),
         calib_n=cal.n,
         num_classes=cal.num_classes,
     )
@@ -225,10 +272,20 @@ def set_masks(Z, pred: CalibratedPredictor, u=None) -> np.ndarray:
         )
     if math.isinf(pred.q_hat):
         return np.ones(Z.shape, dtype=bool)
-    kind = pred.score_kind
-    if kind.variant == "raps" and kind.raps_params.randomized and u is None:
-        u = np.random.default_rng(kind.raps_params.rng_seed + 1).uniform(size=Z.shape[0])
-    return threshold_masks(Z, kind, pred.q_hat, u=u)
+    if u is None:
+        u = _draw_u(pred.score_kind, Z.shape[0], 1)
+    return threshold_masks(Z, pred.score_kind, pred.q_hat, u=u)
+
+
+def _view_sets(view, pred: CalibratedPredictor) -> np.ndarray:
+    """:func:`set_masks` of a sorted view's rows, in rank order: column j
+    of row i is the label at rank j, so a row's set size and whether it
+    holds the label of rank ``view.rank[i]`` are those of the label-order
+    mask."""
+    if math.isinf(pred.q_hat):
+        return np.ones((view.n, view.num_classes), dtype=bool)
+    u = _resolve_u(view.n, _draw_u(pred.score_kind, view.n, 1))
+    return _rank_sets(view, pred.score_kind, pred.q_hat, u)
 
 
 def predict_sets(Z, pred: CalibratedPredictor) -> list[PredictionSet]:
@@ -256,7 +313,7 @@ def support_sets_via_entmax(Z, beta: float, gamma: float) -> list[PredictionSet]
     beta = checked(beta, float, "beta")
     if not np.isfinite(beta) or beta <= 0.0:
         raise InvalidInput(f"beta must be finite and positive, got {beta}")
-    if not 1.0 < gamma <= 2.0:
+    if not 1.0 < checked(gamma, float, "gamma") <= 2.0:
         raise InvalidGamma(f"gamma must lie in (1, 2], got {gamma}")
     with np.errstate(over="ignore"):
         Zb = beta * Z

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conformal import LabeledLogitDataset, calibrate, set_masks
+from .conformal import LabeledLogitDataset, _view_sets, calibrate
 from .errors import (
     InconsistentWidth,
     InvalidInput,
@@ -37,16 +37,17 @@ from .errors import (
     checked,
 )
 from .metrics import EvaluationRun, MetricsReport, SizeBins, compute_report
-from .scores import ScoreKind
+from .scores import ScoreKind, _sort_rows
 from .tuning import (
     DEFAULT_GAMMA_GRID,
     DEFAULT_K_GRID,
     DEFAULT_LAMBDA_GRID,
     SplitSpec,
     TuningResult,
+    _gamma_kinds,
+    _grid_search,
+    _raps_kinds,
     split,
-    tune_gamma,
-    tune_raps,
 )
 
 __all__ = [
@@ -348,8 +349,8 @@ class ExperimentConfig:
             raise InvalidInput("config needs at least one alpha")
         if any(not 0.0 < a < 1.0 for a in alphas):
             raise InvalidInput("every alpha must lie in (0, 1)")
-        if list(alphas) != sorted(alphas):
-            raise InvalidInput("alphas must be sorted ascending")
+        if any(b <= a for a, b in zip(alphas, alphas[1:])):
+            raise InvalidInput(f"alphas must be strictly ascending, got {list(alphas)}")
         object.__setattr__(self, "alphas", alphas)
         if checked(self.n_splits, int, "n_splits") < 1:
             raise InvalidInput("n_splits must be at least 1")
@@ -469,8 +470,10 @@ def _alpha_key(alpha: float) -> str:
     return repr(float(alpha))
 
 
-def _resolve_cell(cal, method: MethodSpec, alpha: float, seed: int):
-    """Calibrate one method on the calibration part, tuning first if asked.
+def _calibrate_cells(cal_view, method: MethodSpec, alphas, seed: int) -> list:
+    """``(predictor, tuning result or None)`` of one method at every alpha,
+    calibrated on the sorted view of the calibration part, tuning first if
+    asked.
 
     Tuned methods re-split the calibration part with ``seed``, choose the
     parameter on the tuning part, and keep the grid's predictor for it,
@@ -478,12 +481,30 @@ def _resolve_cell(cal, method: MethodSpec, alpha: float, seed: int):
     preserves exchangeability with the test part.
     """
     if not method.tune:
-        return calibrate(cal, method.kind, alpha), None
+        return [(calibrate(cal_view, method.kind, alpha), None) for alpha in alphas]
     if method.score == "entmax":
-        result = tune_gamma(cal, alpha, method.gamma_grid, seed)
+        kinds = _gamma_kinds(method.gamma_grid)
     else:
-        result = tune_raps(cal, alpha, method.lambda_grid, method.k_grid, seed)
-    return result.predictor, result
+        kinds = _raps_kinds(method.lambda_grid, method.k_grid)
+    return [(result.predictor, result) for result in _grid_search(cal_view, alphas, seed, kinds)]
+
+
+def _split_cells(cal, test, cfg: ExperimentConfig, seed: int, bins: SizeBins):
+    """``(method name, alpha, Cell)`` for every cell of one split.
+
+    Each part is sorted once, into a view that every method, alpha and grid
+    point reads; the calibration view is dropped before the test view is
+    built.  A test cell counts its sets in rank order, with each row's
+    label rank standing in for its label, so nothing is un-sorted.
+    """
+    cal_view = _sort_rows(cal.logits, cal.labels)
+    calibrated = [_calibrate_cells(cal_view, m, cfg.alphas, seed) for m in cfg.methods]
+    del cal, cal_view
+    test_view = _sort_rows(test.logits, test.labels)
+    for method, cells in zip(cfg.methods, calibrated):
+        for alpha, (pred, tuning) in zip(cfg.alphas, cells):
+            run = EvaluationRun(sets=_view_sets(test_view, pred), labels=test_view.rank, alpha=alpha)
+            yield method.name, alpha, Cell(report=compute_report(run, bins), tuning=tuning)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -499,16 +520,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cells: dict = {m.name: {alpha: [] for alpha in cfg.alphas} for m in cfg.methods}
     for seed in seeds:
         spec = SplitSpec((cfg.cal_fraction, 1.0 - cfg.cal_fraction), seed=seed)
-        cal, test = split(data, spec)
-        for method in cfg.methods:
-            for alpha in cfg.alphas:
-                pred, tuning = _resolve_cell(cal, method, alpha, seed)
-                run = EvaluationRun(
-                    sets=set_masks(test.logits, pred), labels=test.labels, alpha=alpha
-                )
-                cells[method.name][alpha].append(
-                    Cell(report=compute_report(run, bins), tuning=tuning)
-                )
+        for name, alpha, cell in _split_cells(*split(data, spec), cfg, seed, bins):
+            cells[name][alpha].append(cell)
     return ExperimentReport(
         config=cfg.to_dict(),
         split_seeds=seeds,

@@ -21,6 +21,7 @@ through the ``u`` argument, never drawn from hidden global state.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -196,20 +197,108 @@ def _as_labels(labels) -> np.ndarray:
 # O(K) or O(K^2) after the O(K log K) sort.  A general-delta prediction set
 # needs only its size, found by a binary search over the ranks at O(K) per
 # probe: O(K log K) per row in all (see :func:`_entmax_prefix`).
+#
+# The sort is kept in a :class:`_SortedRows` view.  A sweep sorts each
+# part of a split once and scores every method, alpha and grid point from
+# that view; the public functions below sort one row block at a time and
+# score each block's view with the same functions.
 # ---------------------------------------------------------------------------
 
 
-def _sorted_blocks(Z: np.ndarray):
-    """The one sort of every score: yields ``(rows, order, sorted rows)`` for
-    each block of at most ``_CHUNK_CELLS // K`` rows, ``rows`` being the
-    block's slice of ``Z``.  Scores in rank order go back to label order by
-    scattering them through ``order``."""
-    n, k = Z.shape
+def _row_blocks(n: int, k: int):
+    """Slices of at most ``_CHUNK_CELLS // k`` rows covering ``range(n)``."""
     block = max(1, _CHUNK_CELLS // k)
     for start in range(0, n, block):
-        rows = slice(start, start + block)
-        order = descending_order(Z[rows])
-        yield rows, order, np.take_along_axis(Z[rows], order, axis=1)
+        yield slice(start, start + block)
+
+
+class _SortedRows:
+    """Rows sorted once, for every score and set read from them.
+
+    ``order`` holds each row's stable descending order, in the narrowest
+    integer type that holds K (int16 up to 32767); ``zs`` the rows in
+    that order; ``rank``, when labels were given, each row's 0-based rank
+    of its label.  ``Z`` is the rows in label order, which only
+    :attr:`probs` reads.  ``sorted_scores`` keeps each calibrated kind's
+    sorted true-label scores (see :func:`entconform.conformal.calibrate`),
+    one n-vector per kind, so that every alpha reads one score vector.
+    """
+
+    def __init__(self, Z, order, zs, rank=None):
+        self.Z, self.order, self.zs, self.rank = Z, order, zs, rank
+        self.sorted_scores: dict = {}
+
+    @property
+    def n(self) -> int:
+        return self.zs.shape[0]
+
+    @property
+    def num_classes(self) -> int:
+        return self.zs.shape[1]
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """The softmax of each row in rank order, computed on first use and
+        kept.  It is normalized in label order, as a sort-free softmax is,
+        so every score read from it keeps its bits."""
+        probs = np.empty((self.n, self.num_classes))
+        for rows in _row_blocks(self.n, self.num_classes):
+            Z, order = self._label_order(rows)
+            probs[rows] = np.take_along_axis(_softmax_rows(Z), order, axis=1)
+        return probs
+
+    def _label_order(self, rows):
+        """``rows`` in label order, and their order."""
+        return self.Z[rows], self.order[rows]
+
+    def take(self, idx) -> "_GatheredRows":
+        """The view of rows ``idx`` of this one, never sorted again."""
+        return _GatheredRows(self, idx)
+
+
+class _GatheredRows(_SortedRows):
+    """Rows ``idx`` of a view.  ``zs`` and ``rank`` are gathered from it on
+    first use, and ``probs`` computed from its rows, so a part holds only
+    what its scores read."""
+
+    def __init__(self, parent: _SortedRows, idx: np.ndarray):
+        self.parent, self.idx = parent, idx
+        self.sorted_scores = {}
+
+    @property
+    def n(self) -> int:
+        return self.idx.size
+
+    @property
+    def num_classes(self) -> int:
+        return self.parent.num_classes
+
+    @cached_property
+    def zs(self) -> np.ndarray:
+        return self.parent.zs[self.idx]
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        return self.parent.rank[self.idx]
+
+    def _label_order(self, rows):
+        return self.parent._label_order(self.idx[rows])
+
+
+def _sort_rows(Z: np.ndarray, labels=None) -> _SortedRows:
+    """The one sort of every score: ``Z``'s view, sorted in row blocks with
+    ``descending_order`` so that the sort's temporaries stay block-sized."""
+    n, k = Z.shape
+    order = np.empty((n, k), dtype=np.int16 if k <= np.iinfo(np.int16).max else np.int32)
+    zs = np.empty((n, k))
+    rank = None if labels is None else np.empty(n, dtype=np.intp)
+    for rows in _row_blocks(n, k):
+        block_order = descending_order(Z[rows])
+        order[rows] = block_order
+        zs[rows] = np.take_along_axis(Z[rows], block_order, axis=1)
+        if rank is not None:
+            rank[rows] = np.argmax(block_order == labels[rows, None], axis=1)
+    return _SortedRows(Z, order, zs, rank)
 
 
 def _sparsemax_all_sorted(zs: np.ndarray) -> np.ndarray:
@@ -326,15 +415,15 @@ def _entmax_prefix(zs: np.ndarray, delta: float, q: float) -> np.ndarray:
     return prefix
 
 
-def _raps_sorted(Z: np.ndarray, order: np.ndarray, params: RapsParams, u) -> np.ndarray:
-    if params.k_reg > Z.shape[1]:
+def _raps_sorted(ps: np.ndarray, params: RapsParams, u) -> np.ndarray:
+    """RAPS scores in rank order from the softmax in rank order ``ps``."""
+    if params.k_reg > ps.shape[1]:
         raise InvalidInput(
-            f"k_reg = {params.k_reg} exceeds the number of classes {Z.shape[1]}"
+            f"k_reg = {params.k_reg} exceeds the number of classes {ps.shape[1]}"
         )
-    ps = np.take_along_axis(_softmax_rows(Z), order, axis=1)
     csum = np.cumsum(ps, axis=1)
     penalty = params.lambda_reg * np.maximum(
-        0.0, np.arange(1, Z.shape[1] + 1) - params.k_reg
+        0.0, np.arange(1, ps.shape[1] + 1) - params.k_reg
     )
     return (csum - ps) + u[:, None] * ps + penalty
 
@@ -354,23 +443,45 @@ def _resolve_u(n: int, u) -> np.ndarray:
     return arr
 
 
-def _rank_order_scores(Z, order, zs, kind: ScoreKind, u, at=None) -> np.ndarray:
-    """One block's scores in rank order: ``s[i, j]`` is the score of row i's
-    label at the 0-based rank ``at[i, j]`` (at every rank when ``at`` is
-    None).  ``Z``, ``order``, ``zs`` and ``u`` are the block's rows, its
-    order, its sorted rows and its RAPS weights."""
+def _rank_order_scores(view: _SortedRows, rows: slice, kind: ScoreKind, u, at=None):
+    """Scores in rank order of the view's ``rows``: ``s[i, j]`` is the score
+    of row i's label at the 0-based rank ``at[i, j]`` (at every rank when
+    ``at`` is None).  ``u`` holds the RAPS weights of every row of the view."""
     if kind.variant == "entmax":
-        delta = 1.0 / (kind.gamma - 1.0)
+        zs, delta = view.zs[rows], 1.0 / (kind.gamma - 1.0)
         return _entmax_all_sorted(zs, delta) if at is None else _entmax_at(zs, at, delta)
     if kind.variant == "raps":
-        s = _raps_sorted(Z, order, kind.raps_params, u)
+        s = _raps_sorted(view.probs[rows], kind.raps_params, u[rows])
     elif kind.variant == "inv_prob":
-        s = 1.0 - np.take_along_axis(_softmax_rows(Z), order, axis=1)
+        s = 1.0 - view.probs[rows]
     elif kind.variant == "sparsemax":
-        s = _sparsemax_all_sorted(zs)
+        s = _sparsemax_all_sorted(view.zs[rows])
     else:
-        s = zs[:, :1] - zs
+        s = view.zs[rows, :1] - view.zs[rows]
     return s if at is None else np.take_along_axis(s, at, axis=1)
+
+
+def _true_scores(view: _SortedRows, kind: ScoreKind, u) -> np.ndarray:
+    """Each row's score at its own label, from a view with ranks; ``u`` is
+    resolved (:func:`_resolve_u`).  Scores the view in row blocks."""
+    out = np.empty(view.n)
+    for rows in _row_blocks(view.n, view.num_classes):
+        at = view.rank[rows, None]
+        out[rows] = _rank_order_scores(view, rows, kind, u, at)[:, 0]
+    return out
+
+
+def _rank_sets(view: _SortedRows, kind: ScoreKind, q: float, u) -> np.ndarray:
+    """``score <= q`` in rank order as a bool (n, K) mask; ``u`` is
+    resolved.  For the general-gamma kind each row's set is found by a rank
+    search (:func:`_entmax_prefix`), so no O(K^2) score matrix is built."""
+    mask = np.empty((view.n, view.num_classes), dtype=bool)
+    for rows in _row_blocks(view.n, view.num_classes):
+        if kind.variant == "entmax":
+            mask[rows] = _entmax_prefix(view.zs[rows], 1.0 / (kind.gamma - 1.0), q)
+        else:
+            mask[rows] = _rank_order_scores(view, rows, kind, u) <= q
+    return mask
 
 
 def all_label_scores(Z, kind: ScoreKind, u=None) -> np.ndarray:
@@ -383,29 +494,26 @@ def all_label_scores(Z, kind: ScoreKind, u=None) -> np.ndarray:
     Z = _as_logit_rows(Z)
     u = _resolve_u(Z.shape[0], u)
     out = np.empty(Z.shape)
-    for rows, order, zs in _sorted_blocks(Z):
-        s = _rank_order_scores(Z[rows], order, zs, kind, u[rows])
-        np.put_along_axis(out[rows], order, s, axis=1)
+    for rows in _row_blocks(*Z.shape):
+        view = _sort_rows(Z[rows])
+        s = _rank_order_scores(view, slice(None), kind, u[rows])
+        np.put_along_axis(out[rows], view.order, s, axis=1)
     return out
 
 
 def threshold_masks(Z, kind: ScoreKind, q: float, u=None) -> np.ndarray:
     """``all_label_scores(Z, kind, u) <= q`` as a bool (n, K) mask, bit for bit.
 
-    Each block of sorted rows is compared in rank order and un-sorted as
-    bools.  For the general-gamma kind each row's set is found by a rank
-    search (:func:`_entmax_prefix`), so no O(K^2) score matrix is built.
-    ``u`` is checked as in :func:`all_label_scores`, for every kind.
+    Each block of rows is sorted, compared in rank order by
+    :func:`_rank_sets` and un-sorted as bools.  ``u`` is checked as in
+    :func:`all_label_scores`, for every kind.
     """
     Z = _as_logit_rows(Z)
     u = _resolve_u(Z.shape[0], u)
     mask = np.empty(Z.shape, dtype=bool)
-    for rows, order, zs in _sorted_blocks(Z):
-        if kind.variant == "entmax":
-            inside = _entmax_prefix(zs, 1.0 / (kind.gamma - 1.0), q)
-        else:
-            inside = _rank_order_scores(Z[rows], order, zs, kind, u[rows]) <= q
-        np.put_along_axis(mask[rows], order, inside, axis=1)
+    for rows in _row_blocks(*Z.shape):
+        view = _sort_rows(Z[rows])
+        np.put_along_axis(mask[rows], view.order, _rank_sets(view, kind, q, u[rows]), axis=1)
     return mask
 
 
@@ -427,7 +535,6 @@ def true_label_scores(Z, labels, kind: ScoreKind, u=None) -> np.ndarray:
         raise LabelOutOfRange("label index outside the class range")
     u = _resolve_u(Z.shape[0], u)
     out = np.empty(Z.shape[0])
-    for rows, order, zs in _sorted_blocks(Z):
-        at = np.argmax(order == labels[rows, None], axis=1)[:, None]
-        out[rows] = _rank_order_scores(Z[rows], order, zs, kind, u[rows], at)[:, 0]
+    for rows in _row_blocks(*Z.shape):
+        out[rows] = _true_scores(_sort_rows(Z[rows], labels[rows]), kind, u[rows])
     return out

@@ -16,9 +16,9 @@ from typing import Union
 
 import numpy as np
 
-from .conformal import CalibratedPredictor, LabeledLogitDataset, calibrate, set_masks
+from .conformal import CalibratedPredictor, LabeledLogitDataset, _view_sets, calibrate
 from .errors import InsufficientData, InvalidFractions, InvalidInput, checked
-from .scores import RapsParams, ScoreKind
+from .scores import RapsParams, ScoreKind, _sort_rows
 
 __all__ = [
     "DEFAULT_GAMMA_GRID",
@@ -64,14 +64,8 @@ class SplitSpec:
             raise InvalidInput("seed must be nonnegative")
 
 
-def split(data: LabeledLogitDataset, spec: SplitSpec) -> list[LabeledLogitDataset]:
-    """Shuffle with the spec's seed, then partition contiguously.
-
-    Part sizes are ``floor(n * fraction)`` with the remainder going to the
-    last part; the parts are disjoint and their union is a permutation of
-    the input.
-    """
-    n = data.n
+def _split_indices(n: int, spec: SplitSpec) -> list[np.ndarray]:
+    """The row indices of each part of :func:`split` for n instances."""
     if n < len(spec.fractions):
         raise InsufficientData(
             f"cannot split {n} instances into {len(spec.fractions)} parts"
@@ -79,12 +73,17 @@ def split(data: LabeledLogitDataset, spec: SplitSpec) -> list[LabeledLogitDatase
     perm = np.random.default_rng(spec.seed).permutation(n)
     sizes = [int(math.floor(n * f + 1e-9)) for f in spec.fractions[:-1]]
     sizes.append(n - sum(sizes))
-    parts = []
-    start = 0
-    for size in sizes:
-        parts.append(data.subset(perm[start : start + size]))
-        start += size
-    return parts
+    return np.split(perm, np.cumsum(sizes)[:-1])
+
+
+def split(data: LabeledLogitDataset, spec: SplitSpec) -> list[LabeledLogitDataset]:
+    """Shuffle with the spec's seed, then partition contiguously.
+
+    Part sizes are ``floor(n * fraction)`` with the remainder going to the
+    last part; the parts are disjoint and their union is a permutation of
+    the input.
+    """
+    return [data.subset(idx) for idx in _split_indices(data.n, spec)]
 
 
 Parameter = Union[float, tuple[float, int]]
@@ -118,19 +117,54 @@ class TuningResult:
         }
 
 
-def _grid_search(cal, alpha, seed: int, kinds: dict) -> TuningResult:
+def _grid_search(view, alphas, seed: int, kinds: dict) -> list[TuningResult]:
     """Calibrate each ``{param: ScoreKind}`` entry on the first part of the
     tuning split seeded by ``seed``, measure average set size on the second,
-    and choose the smallest average, ties going to the smallest parameter."""
-    cal_part, tune_part = split(cal, SplitSpec(_TUNING_FRACTIONS, seed))
-    table, preds = {}, {}
+    and choose the smallest average, ties going to the smallest parameter;
+    one result per alpha.
+
+    ``view`` is the sorted view of the rows to split, with their ranks.
+    Both parts are row gathers of it, dropped on return.  The calibration
+    part scores each entry once for every alpha, and set sizes are counted
+    in rank order.
+    """
+    cal_rows, tune_rows = _split_indices(view.n, SplitSpec(_TUNING_FRACTIONS, seed))
+    cal_part, tune_part = view.take(cal_rows), view.take(tune_rows)
+    tables = [{} for _ in alphas]
+    preds = [{} for _ in alphas]
     for param, kind in kinds.items():
-        preds[param] = calibrate(cal_part, kind, alpha)
-        table[param] = float(set_masks(tune_part.logits, preds[param]).sum(axis=1).mean())
-    chosen = min(table, key=lambda p: (table[p], p))
-    return TuningResult(
-        chosen=chosen, objective=table[chosen], table=table, predictor=preds[chosen]
-    )
+        for i, alpha in enumerate(alphas):
+            preds[i][param] = calibrate(cal_part, kind, alpha)
+            tables[i][param] = float(_view_sets(tune_part, preds[i][param]).sum(axis=1).mean())
+    results = []
+    for table, pred in zip(tables, preds):
+        chosen = min(table, key=lambda p: (table[p], p))
+        results.append(TuningResult(chosen, table[chosen], table, pred[chosen]))
+    return results
+
+
+def _gamma_kinds(grid) -> dict:
+    """``{gamma: ScoreKind}`` of a checked gamma grid."""
+    grid = [float(checked(g, float, "gamma grid entry")) for g in grid]
+    if not grid:
+        raise InvalidInput("gamma grid is empty")
+    if any(not 1.0 < g < 2.0 for g in grid):
+        raise InvalidInput("every grid gamma must lie strictly inside (1, 2)")
+    return {g: ScoreKind.entmax(g) for g in grid}
+
+
+def _raps_kinds(lambda_grid, k_grid) -> dict:
+    """``{(lambda_reg, k_reg): ScoreKind}`` of checked RAPS grids, with the
+    deterministic RAPS variant so that the search is reproducible."""
+    lambdas = [float(checked(l, float, "lambda grid entry")) for l in lambda_grid]
+    ks = [int(checked(k, int, "k grid entry")) for k in k_grid]
+    if not lambdas or not ks:
+        raise InvalidInput("RAPS grids must be nonempty")
+    return {
+        (lam, k): ScoreKind.raps(RapsParams(lambda_reg=lam, k_reg=k))
+        for lam in lambdas
+        for k in ks
+    }
 
 
 def tune_gamma(
@@ -146,12 +180,8 @@ def tune_gamma(
     set size on the 40% part.  Ties go to the smallest gamma (the denser,
     safer predictor).
     """
-    grid = [float(checked(g, float, "gamma grid entry")) for g in grid]
-    if not grid:
-        raise InvalidInput("gamma grid is empty")
-    if any(not 1.0 < g < 2.0 for g in grid):
-        raise InvalidInput("every grid gamma must lie strictly inside (1, 2)")
-    return _grid_search(cal, alpha, seed, {g: ScoreKind.entmax(g) for g in grid})
+    kinds = _gamma_kinds(grid)
+    return _grid_search(_sort_rows(cal.logits, cal.labels), (alpha,), seed, kinds)[0]
 
 
 def tune_raps(
@@ -167,13 +197,5 @@ def tune_raps(
     lexicographically smallest pair.  The deterministic RAPS variant is
     used throughout so the search itself is reproducible.
     """
-    lambdas = [float(checked(l, float, "lambda grid entry")) for l in lambda_grid]
-    ks = [int(checked(k, int, "k grid entry")) for k in k_grid]
-    if not lambdas or not ks:
-        raise InvalidInput("RAPS grids must be nonempty")
-    kinds = {
-        (lam, k): ScoreKind.raps(RapsParams(lambda_reg=lam, k_reg=k))
-        for lam in lambdas
-        for k in ks
-    }
-    return _grid_search(cal, alpha, seed, kinds)
+    kinds = _raps_kinds(lambda_grid, k_grid)
+    return _grid_search(_sort_rows(cal.logits, cal.labels), (alpha,), seed, kinds)[0]

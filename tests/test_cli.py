@@ -455,6 +455,24 @@ class TestSweepCommand:
         assert code == 2
         assert "not covered by bins" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alphas", [[0.1, 0.1], [0.05, 0.1, 0.1]], ids=["pair", "tail"])
+    def test_duplicate_alphas_exit_2(self, tmp_path, dataset_csv, capsys, alphas):
+        # one alpha twice would merge its cells into one list, reported as
+        # twice the splits
+        cfg = {
+            "input_path": dataset_csv,
+            "methods": [{"score": "sparsemax"}],
+            "alphas": alphas,
+            "n_splits": 2,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "strictly ascending" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_no_per_row_set_objects(self, tmp_path, dataset_csv, capsys, monkeypatch):
         # sweeps, tuning and evaluate keep sets as one bool mask per batch
         def refuse(cls, mask):

@@ -26,13 +26,22 @@ from entconform import (
     support_sets_via_entmax,
     true_label_scores,
 )
-from entconform import scores
+from entconform import conformal, scores
 from entconform.tuning import DEFAULT_GAMMA_GRID
 
 from oracles import order_statistic
 from synth import make_task
 
 Z5 = np.array([1.0, -1.0, -0.2, 0.4, -0.5])
+ALL_KINDS = [
+    ScoreKind.sparsemax(),
+    ScoreKind.log_margin(),
+    ScoreKind.inv_prob(),
+    ScoreKind.raps(RapsParams(0.01, 2)),
+    ScoreKind.raps(RapsParams(0.01, 2, randomized=True, rng_seed=3)),
+    *(ScoreKind.entmax(gamma) for gamma in (1.1, 1.5, 1.9)),
+]
+ALL_KIND_IDS = ["sparsemax", "log_margin", "inv_prob", "raps", "raps-randomized", "1.1", "1.5", "1.9"]
 
 
 def predict_one(z, pred):
@@ -78,6 +87,67 @@ class TestConformalQuantile:
             r = math.ceil((n + 1) * (1.0 - alpha))
             expected = math.inf if r > n else order_statistic(scores, r)
             assert conformal_quantile(scores, alpha) == expected
+
+
+class TestOneSortForEveryAlpha:
+    """A sweep scores a kind once and reads each alpha's q_hat from the one
+    sorted score vector; it must be conformal_quantile's element."""
+
+    ALPHAS = (0.001, 0.01, 0.05, 0.1, 0.2, 0.25, 0.5, 0.9, 0.99)
+
+    def test_order_statistic_of_the_sorted_vector(self):
+        rng = np.random.default_rng(73)
+        draws = [
+            rng.uniform(0.0, 5.0, size=40),
+            rng.integers(0, 3, size=40).astype(float),  # ties everywhere
+            np.zeros(25),
+            np.concatenate([np.zeros(9), rng.uniform(size=9)]),
+            np.array([2.0]),
+            rng.normal(size=7) ** 2 * 1e-300,
+        ]
+        for s in draws:
+            ordered = np.sort(s)
+            for alpha in self.ALPHAS:
+                got = conformal._order_statistic(ordered, alpha)
+                want = conformal_quantile(s, alpha)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                if alpha < 1.0 / (s.size + 1):
+                    assert got == math.inf
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=ALL_KIND_IDS)
+    def test_view_calibrates_every_alpha_like_the_dataset(self, kind, monkeypatch):
+        # a sorted view scores each kind once, whatever the number of alphas
+        rng = np.random.default_rng(74)
+        Z = np.concatenate([rng.normal(size=(30, 6)), rng.integers(0, 3, (30, 6))])
+        cal = LabeledLogitDataset(Z, rng.integers(0, 6, 60))
+        view = scores._sort_rows(cal.logits, cal.labels)
+        calls = []
+        true_scores = conformal._true_scores
+
+        def counted(*args):
+            calls.append(args)
+            return true_scores(*args)
+
+        monkeypatch.setattr(conformal, "_true_scores", counted)
+        for alpha in self.ALPHAS:
+            got, want = calibrate(view, kind, alpha), calibrate(cal, kind, alpha)
+            assert np.float64(got.q_hat).tobytes() == np.float64(want.q_hat).tobytes()
+            assert got == want
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=ALL_KIND_IDS)
+    def test_rank_order_cells_equal_label_order_cells(self, kind):
+        # a test cell built from the rank-order mask and the label ranks has
+        # the sizes and coverage of the label-order mask and the labels
+        data = make_task(300, num_classes=7, seed=4)
+        cal, test = data.subset(range(120)), data.subset(range(120, 300))
+        view = scores._sort_rows(test.logits, test.labels)
+        for alpha in (0.005, 0.1, 0.3):
+            pred = calibrate(cal, kind, alpha)
+            rank_run = EvaluationRun(sets=conformal._view_sets(view, pred), labels=view.rank, alpha=alpha)
+            run = EvaluationRun(sets=set_masks(test.logits, pred), labels=test.labels, alpha=alpha)
+            np.testing.assert_array_equal(rank_run.sizes, run.sizes)
+            np.testing.assert_array_equal(rank_run.covered, run.covered)
 
 
 def toy_dataset():
@@ -236,6 +306,12 @@ class TestSupportSetViaEntmax:
         for beta in (0.0, -0.5, math.inf):
             with pytest.raises(InvalidInput):
                 support_one(Z5, beta, 1.5)
+
+    @pytest.mark.parametrize("gamma", ["1.5", None, True, [1.5]], ids=["text", "none", "bool", "list"])
+    def test_gamma_of_another_type_rejected(self, gamma):
+        # numpy raised a bare TypeError comparing the text with a float
+        with pytest.raises(InvalidInput, match="gamma must be of type float"):
+            support_sets_via_entmax([[3.0, 1.0, 0.0]], 1.0, gamma)
 
     @pytest.mark.parametrize(
         "beta, gamma", [(1e308, 2.0), (1e308, 1.5), ("x", 2.0)],

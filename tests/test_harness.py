@@ -243,6 +243,14 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             ExperimentConfig.from_dict(self.config_doc(alphas=[0.1, 0.05]))
 
+    def test_duplicate_alphas_rejected(self):
+        # two cells of one alpha would merge into one list of 2 * n_splits
+        # entries, mislabelled as splits
+        with pytest.raises(InvalidInput, match="strictly ascending"):
+            ExperimentConfig.from_dict(self.config_doc(alphas=[0.1, 0.1]))
+        with pytest.raises(InvalidInput, match="strictly ascending"):
+            ExperimentConfig.from_dict(self.config_doc(alphas=[0.05, 0.1, 0.1]))
+
     def test_unknown_field_rejected(self):
         with pytest.raises(InvalidInput):
             ExperimentConfig.from_dict(self.config_doc(typo=1))
@@ -343,19 +351,51 @@ class TestRunExperiment:
         ids=["entmax", "raps"],
     )
     def test_tuned_cell_splits_once_for_tuning(self, tmp_path, monkeypatch, method):
-        # one split for cal/test and one inside the grid search; the grid's
-        # predictor is reused, so no second tuning split is made
+        # one split for cal/test and one inside the grid search, shared by
+        # both alphas; the grid's predictor is reused, so no second tuning
+        # split is made
         calls = []
+        split_indices = tuning_mod._split_indices
 
-        def counted(data, spec):
+        def counted(n, spec):
             calls.append(spec)
-            return split(data, spec)
+            return split_indices(n, spec)
 
-        cfg = tiny_experiment(tmp_path, n=300, methods=(method,), alphas=(0.2,), n_splits=1)
-        monkeypatch.setattr(harness_mod, "split", counted)
-        monkeypatch.setattr(tuning_mod, "split", counted)
+        cfg = tiny_experiment(tmp_path, n=300, methods=(method,), alphas=(0.1, 0.2), n_splits=1)
+        monkeypatch.setattr(tuning_mod, "_split_indices", counted)
         run_experiment(cfg)
-        assert len(calls) == 2
+        assert calls == [SplitSpec((0.4, 0.6), seed=11), SplitSpec((0.6, 0.4), seed=11)]
+
+    def test_each_row_is_sorted_once_per_split(self, tmp_path, monkeypatch):
+        # every method, alpha and grid point reads one sorted view of each
+        # part of a split, and the tuning parts are gathers of the
+        # calibration part's view
+        import entconform.scores as scores_mod
+
+        rows = []
+        sort = scores_mod.descending_order
+
+        def counted_sort(z):
+            rows.append(z.shape[0])
+            return sort(z)
+
+        cfg = tiny_experiment(
+            tmp_path,
+            n=300,
+            methods=(
+                {"score": "entmax", "tune": True},
+                {"score": "raps", "tune": True, "k_grid": [1, 2, 3]},
+                {"score": "entmax", "gamma": 1.5},
+                {"score": "inv_prob"},
+                {"score": "raps", "lambda_reg": 0.01, "k_reg": 2, "randomized": True,
+                 "name": "raps-randomized"},
+            ),
+            alphas=(0.1, 0.2),
+            n_splits=2,
+        )
+        monkeypatch.setattr(scores_mod, "descending_order", counted_sort)
+        run_experiment(cfg)
+        assert sum(rows) == 2 * 300
 
     def test_avg_size_non_increasing_in_alpha(self, tmp_path):
         alphas = tuple(round(0.02 * i, 2) for i in range(1, 8))
@@ -370,21 +410,23 @@ class TestRunExperiment:
 
     def test_protocol_hygiene(self, tmp_path, monkeypatch):
         # within a split, neither tuning nor calibration may ever see a
-        # row of that split's test part
-        seen: list[LabeledLogitDataset] = []
-        real_calibrate = harness_mod.calibrate
-        real_tune_gamma = harness_mod.tune_gamma
+        # row of that split's test part: not the views the harness
+        # calibrates on or tunes on, nor the parts a grid search gathers
+        seen = []
 
-        def spy_calibrate(cal, kind, alpha):
-            seen.append(cal)
-            return real_calibrate(cal, kind, alpha)
+        def spy(module, name):
+            real = getattr(module, name)
 
-        def spy_tune_gamma(cal, alpha, grid, spec):
-            seen.append(cal)
-            return real_tune_gamma(cal, alpha, grid, spec)
+            def spied(view, *args):
+                seen.append((f"{module.__name__}.{name}", view))
+                return real(view, *args)
 
-        monkeypatch.setattr(harness_mod, "calibrate", spy_calibrate)
-        monkeypatch.setattr(harness_mod, "tune_gamma", spy_tune_gamma)
+            monkeypatch.setattr(module, name, spied)
+
+        spy(harness_mod, "calibrate")
+        spy(harness_mod, "_grid_search")
+        spy(tuning_mod, "calibrate")
+        spy(tuning_mod, "_view_sets")
 
         for seed in (11, 12):
             cfg = tiny_experiment(
@@ -401,9 +443,16 @@ class TestRunExperiment:
             test_rows = {tuple(r) for r in split(data, spec)[1].logits}
             seen.clear()
             run_experiment(cfg)
-            assert seen
-            for cal in seen:
-                assert not ({tuple(r) for r in cal.logits} & test_rows)
+            assert {name for name, _ in seen} == {
+                "entconform.harness.calibrate",
+                "entconform.harness._grid_search",
+                "entconform.tuning.calibrate",
+                "entconform.tuning._view_sets",
+            }
+            for _, view in seen:
+                # a tuning part holds the indices of its rows in its parent
+                rows = view.parent.Z[view.idx] if hasattr(view, "parent") else view.Z
+                assert not ({tuple(r) for r in rows} & test_rows)
 
 
 def tie_dataset(n=60, k=3, seed=0):

@@ -13,6 +13,7 @@ from entconform import (
     all_label_scores,
     true_label_scores,
 )
+import entconform.scores as scores_mod
 from entconform.scores import descending_order, threshold_masks
 
 from oracles import delta_norm, gap_vector
@@ -284,8 +285,6 @@ class TestVectorizedAgainstScalar:
 
     def test_chunked_entmax_path(self):
         # force several row blocks through the O(K^2) gap-norm code
-        import entconform.scores as scores_mod
-
         rng = np.random.default_rng(53)
         Z = rng.uniform(-5.0, 5.0, size=(30, 5))
         kind = ScoreKind.entmax(1.5)
@@ -316,8 +315,6 @@ class TestVectorizedAgainstScalar:
     def test_entmax_true_label_blocks_change_no_bit(self, kind, per_row_u, monkeypatch):
         # every kind gives the same bits through every entry point whether
         # its rows are sorted in one block or in eight
-        import entconform.scores as scores_mod
-
         rng = np.random.default_rng(61)
         Z = np.concatenate([rng.normal(size=(25, 57)), rng.integers(0, 4, (25, 57))])
         labels = rng.integers(0, 57, size=50)
@@ -343,6 +340,47 @@ class TestVectorizedAgainstScalar:
             blocked = call()
             assert sorts == [7] * 7 + [1], name
             assert blocked.tobytes() == whole[name].tobytes(), name
+
+    @pytest.mark.parametrize(
+        "kind, per_row_u",
+        [
+            (ScoreKind.sparsemax(), False),
+            (ScoreKind.log_margin(), False),
+            (ScoreKind.inv_prob(), False),
+            (ScoreKind.raps(RapsParams(0.01, 2)), False),
+            (ScoreKind.raps(RapsParams(0.01, 2, randomized=True)), True),
+            *((ScoreKind.entmax(gamma), False) for gamma in (1.1, 1.5, 1.9)),
+        ],
+        ids=[
+            "sparsemax", "log_margin", "inv_prob", "raps", "raps-randomized",
+            "1.1", "1.5", "1.9",
+        ],
+    )
+    @pytest.mark.parametrize("softmax_first", [False, True], ids=["gathered", "softmax-first"])
+    def test_gathered_view_scores_like_a_fresh_sort(self, kind, per_row_u, softmax_first):
+        # a tuning part is a row gather of its parent's view, with the
+        # parent's softmax when it has one; its scores and sets must be
+        # those of sorting the subset afresh, bit for bit
+        rng = np.random.default_rng(67)
+        Z = np.concatenate([rng.normal(size=(40, 57)), rng.integers(0, 4, (40, 57))])
+        labels = rng.integers(0, 57, size=80)
+        u = rng.uniform(size=80) if per_row_u else np.ones(80)
+        idx = rng.permutation(80)[:48]
+        view = scores_mod._sort_rows(Z, labels)
+        if softmax_first:
+            assert view.probs is view.probs
+        part, fresh = view.take(idx), scores_mod._sort_rows(Z[idx], labels[idx])
+        np.testing.assert_array_equal(part.zs, fresh.zs)
+        np.testing.assert_array_equal(part.rank, fresh.rank)
+        got = scores_mod._true_scores(part, kind, u[idx])
+        assert got.tobytes() == scores_mod._true_scores(fresh, kind, u[idx]).tobytes()
+        assert got.tobytes() == true_label_scores(Z[idx], labels[idx], kind, u=u[idx]).tobytes()
+        for q in np.quantile(got, [0.0, 0.3, 0.9]):
+            sets = scores_mod._rank_sets(part, kind, q, u[idx])
+            np.testing.assert_array_equal(sets, scores_mod._rank_sets(fresh, kind, q, u[idx]))
+            np.testing.assert_array_equal(
+                sets.sum(axis=1), threshold_masks(Z[idx], kind, q, u=u[idx]).sum(axis=1)
+            )
 
     @pytest.mark.parametrize(
         "kind, n",
