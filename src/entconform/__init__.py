@@ -48,11 +48,7 @@ from .metrics import (
     EvaluationRun,
     MetricsReport,
     SizeBins,
-    avg_set_size,
     compute_report,
-    empirical_coverage,
-    singleton_stats,
-    size_stratified_coverage,
 )
 from .scores import (
     RapsParams,

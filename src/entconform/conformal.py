@@ -33,11 +33,13 @@ from .errors import (
 from .scores import (
     ScoreKind,
     _as_labels,
-    _rank_sets,
-    _SortedRows,
+    _entmax_prefix,
+    _rank_order_scores,
     _resolve_u,
+    _row_blocks,
+    _sort_rows,
+    _SortedRows,
     _true_scores,
-    threshold_masks,
     true_label_scores,
 )
 
@@ -121,7 +123,7 @@ class CalibratedPredictor:
     num_classes: int
 
     def __post_init__(self):
-        _check_alpha(checked(self.alpha, float, "alpha"))
+        _check_alpha(self.alpha)
         if not checked(self.q_hat, float, "q_hat") >= 0.0:
             raise InvalidInput(f"q_hat must be nonnegative or inf, got {self.q_hat}")
         if checked(self.calib_n, int, "calib_n") < 1:
@@ -166,8 +168,9 @@ class CalibratedPredictor:
 _PREDICTOR_KEYS = {"score_kind", "alpha", "q_hat", "calib_n", "num_classes"}
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
+def _check_alpha(alpha) -> float:
+    """``alpha`` as a float strictly inside (0, 1), else InvalidInput."""
+    alpha = float(checked(alpha, float, "alpha"))
     if not 0.0 < alpha < 1.0:
         raise InvalidInput(f"alpha must lie in (0, 1), got {alpha}")
     return alpha
@@ -219,6 +222,12 @@ def _draw_u(kind: ScoreKind, n: int, stream: int):
     return None
 
 
+def _set_u(kind: ScoreKind, n: int, u) -> np.ndarray:
+    """The checked RAPS weights of n test rows: ``u``, or when it is None
+    the set stream's draw (:func:`_draw_u`), drawn for all n rows at once."""
+    return _resolve_u(n, _draw_u(kind, n, 1) if u is None else u)
+
+
 def _sorted_scores(cal, kind: ScoreKind) -> np.ndarray:
     """The calibration scores of ``cal`` under ``kind``, sorted ascending.
 
@@ -263,29 +272,43 @@ def set_masks(Z, pred: CalibratedPredictor, u=None) -> np.ndarray:
     and ``q_hat`` is +inf).  For the randomized RAPS kind with ``u`` not
     given, per-instance weights are drawn from
     ``default_rng(params.rng_seed + 1)``: a stream distinct from the
-    calibration draws, and deterministic.
+    calibration draws, and deterministic.  Each block of rows is sorted,
+    built by :func:`_view_sets` and un-sorted as bools, so the mask equals
+    ``all_label_scores(Z, kind, u) <= q_hat`` bit for bit.
     """
     Z = _as_logit_rows(Z)
     if Z.shape[1] != pred.num_classes:
         raise DimensionMismatch(
             f"predictor was calibrated with K={pred.num_classes}, got {Z.shape[1]}"
         )
-    if math.isinf(pred.q_hat):
-        return np.ones(Z.shape, dtype=bool)
-    if u is None:
-        u = _draw_u(pred.score_kind, Z.shape[0], 1)
-    return threshold_masks(Z, pred.score_kind, pred.q_hat, u=u)
+    u = _set_u(pred.score_kind, Z.shape[0], u)
+    mask = np.empty(Z.shape, dtype=bool)
+    for rows in _row_blocks(*Z.shape):
+        view = _sort_rows(Z[rows])
+        np.put_along_axis(mask[rows], view.order, _view_sets(view, pred, u[rows]), axis=1)
+    return mask
 
 
-def _view_sets(view, pred: CalibratedPredictor) -> np.ndarray:
-    """:func:`set_masks` of a sorted view's rows, in rank order: column j
-    of row i is the label at rank j, so a row's set size and whether it
-    holds the label of rank ``view.rank[i]`` are those of the label-order
-    mask."""
+def _view_sets(view, pred: CalibratedPredictor, u=None) -> np.ndarray:
+    """The one set builder: ``score <= pred.q_hat`` for the rows of a
+    sorted view, as a bool (n, K) mask in rank order.  Column j of row i is
+    the label at rank j, so a row's set size and whether it holds the label
+    of rank ``view.rank[i]`` are those of the label-order mask.  ``u`` is
+    checked for every predictor, one with an infinite ``q_hat`` too.  The
+    general-gamma kind finds each row's set by a rank search
+    (:func:`entconform.scores._entmax_prefix`), so no O(K^2) score matrix
+    is built."""
+    u = _set_u(pred.score_kind, view.n, u)
     if math.isinf(pred.q_hat):
         return np.ones((view.n, view.num_classes), dtype=bool)
-    u = _resolve_u(view.n, _draw_u(pred.score_kind, view.n, 1))
-    return _rank_sets(view, pred.score_kind, pred.q_hat, u)
+    kind, q = pred.score_kind, pred.q_hat
+    mask = np.empty((view.n, view.num_classes), dtype=bool)
+    for rows in _row_blocks(view.n, view.num_classes):
+        if kind.variant == "entmax":
+            mask[rows] = _entmax_prefix(view.zs[rows], 1.0 / (kind.gamma - 1.0), q)
+        else:
+            mask[rows] = _rank_order_scores(view, rows, kind, u) <= q
+    return mask
 
 
 def predict_sets(Z, pred: CalibratedPredictor) -> list[PredictionSet]:

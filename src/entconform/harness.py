@@ -22,12 +22,12 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .conformal import LabeledLogitDataset, _view_sets, calibrate
+from .conformal import LabeledLogitDataset, _check_alpha, _view_sets, calibrate
 from .errors import (
     InconsistentWidth,
     InvalidInput,
@@ -258,7 +258,8 @@ class MethodSpec:
     """One conformal method to run: a fixed score kind, or a score to tune.
 
     ``kind`` is the score kind of an untuned method and None for a tuned
-    one, whose kind comes from the grid search of every cell.
+    one, whose kind comes from the grid search of every cell over
+    ``grid_kinds``, its checked ``{param: ScoreKind}`` grid (None untuned).
     """
 
     score: str
@@ -268,6 +269,7 @@ class MethodSpec:
     gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     k_grid: tuple[int, ...] = DEFAULT_K_GRID
+    grid_kinds: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         checked(self.name, str, "method name")
@@ -276,6 +278,11 @@ class MethodSpec:
                 raise InvalidInput(f"{self.score} has nothing to tune")
             if self.kind is not None:
                 raise InvalidInput("a tuned method takes no fixed score kind")
+            if self.score == "entmax":
+                kinds = _gamma_kinds(self.gamma_grid)
+            else:
+                kinds = _raps_kinds(self.lambda_grid, self.k_grid)
+            object.__setattr__(self, "grid_kinds", kinds)
         elif self.kind is None or self.kind.variant != self.score:
             raise InvalidInput(f"untuned {self.score} method needs its score kind")
         if not self.name:
@@ -344,11 +351,9 @@ class ExperimentConfig:
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise InvalidInput(f"duplicate method names: {names}")
-        alphas = tuple(float(checked(a, float, "alpha")) for a in self.alphas)
+        alphas = tuple(_check_alpha(a) for a in self.alphas)
         if not alphas:
             raise InvalidInput("config needs at least one alpha")
-        if any(not 0.0 < a < 1.0 for a in alphas):
-            raise InvalidInput("every alpha must lie in (0, 1)")
         if any(b <= a for a, b in zip(alphas, alphas[1:])):
             raise InvalidInput(f"alphas must be strictly ascending, got {list(alphas)}")
         object.__setattr__(self, "alphas", alphas)
@@ -482,11 +487,8 @@ def _calibrate_cells(cal_view, method: MethodSpec, alphas, seed: int) -> list:
     """
     if not method.tune:
         return [(calibrate(cal_view, method.kind, alpha), None) for alpha in alphas]
-    if method.score == "entmax":
-        kinds = _gamma_kinds(method.gamma_grid)
-    else:
-        kinds = _raps_kinds(method.lambda_grid, method.k_grid)
-    return [(result.predictor, result) for result in _grid_search(cal_view, alphas, seed, kinds)]
+    results = _grid_search(cal_view, alphas, seed, method.grid_kinds)
+    return [(result.predictor, result) for result in results]
 
 
 def _split_cells(cal, test, cfg: ExperimentConfig, seed: int, bins: SizeBins):

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .conformal import PredictionSet
+from .conformal import PredictionSet, _check_alpha
 from .errors import EmptyRun, InvalidInput, checked
 from .scores import _as_labels
 
@@ -23,11 +23,7 @@ __all__ = [
     "EvaluationRun",
     "MetricsReport",
     "SizeBins",
-    "avg_set_size",
     "compute_report",
-    "empirical_coverage",
-    "singleton_stats",
-    "size_stratified_coverage",
 ]
 
 
@@ -103,8 +99,7 @@ class EvaluationRun:
             covered = np.fromiter(
                 (int(lab) in s for s, lab in zip(sets, labels)), dtype=bool, count=n
             )
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInput("alpha must lie in (0, 1)")
+        _check_alpha(self.alpha)
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "sizes", sizes)
@@ -115,36 +110,6 @@ class EvaluationRun:
         return int(self.sizes.size)
 
 
-def _require_nonempty(run: EvaluationRun):
-    if run.n == 0:
-        raise EmptyRun("no prediction sets to evaluate")
-
-
-def empirical_coverage(run: EvaluationRun) -> float:
-    """Fraction of instances whose true label is in the predicted set."""
-    _require_nonempty(run)
-    return float(run.covered.mean())
-
-
-def avg_set_size(run: EvaluationRun) -> float:
-    """Mean number of labels per prediction set."""
-    _require_nonempty(run)
-    return float(run.sizes.mean())
-
-
-def singleton_stats(run: EvaluationRun) -> tuple[float, Optional[float]]:
-    """Ratio of singleton sets and the coverage restricted to them.
-
-    The restricted coverage is None when no singletons were predicted.
-    """
-    _require_nonempty(run)
-    single = run.sizes == 1
-    ratio = float(single.mean())
-    if not single.any():
-        return ratio, None
-    return ratio, float(run.covered[single].mean())
-
-
 @dataclass(frozen=True)
 class BinStat:
     """Instance count and coverage within one size bin (None when empty)."""
@@ -153,25 +118,6 @@ class BinStat:
     hi: int
     n: int
     coverage: Optional[float]
-
-
-def size_stratified_coverage(run: EvaluationRun, bins: SizeBins) -> list[BinStat]:
-    """Per-bin instance counts and coverages, empty bins reported as None."""
-    _require_nonempty(run)
-    # bins start at 0 and are contiguous, so a size's bin is the first
-    # whose upper edge reaches it
-    assignment = np.searchsorted([hi for _, hi in bins.edges], run.sizes)
-    beyond = assignment == len(bins.edges)
-    if beyond.any():
-        size = int(run.sizes[beyond][0])
-        raise InvalidInput(f"set size {size} not covered by bins {bins.edges}")
-    stats = []
-    for i, (lo, hi) in enumerate(bins.edges):
-        in_bin = assignment == i
-        count = int(in_bin.sum())
-        cov = float(run.covered[in_bin].mean()) if count else None
-        stats.append(BinStat(lo=lo, hi=hi, n=count, coverage=cov))
-    return stats
 
 
 @dataclass(frozen=True)
@@ -207,28 +153,38 @@ class MetricsReport:
         return doc
 
     def metric_items(self) -> list[tuple[str, float]]:
-        """Flat (metric, value) pairs for plot data; absent metrics omitted."""
-        items = [
-            ("avg_set_size", self.avg_set_size),
-            ("coverage", self.coverage),
-            ("singleton_ratio", self.singleton_ratio),
-        ]
-        if self.singleton_coverage is not None:
-            items.append(("singleton_coverage", self.singleton_coverage))
-        if self.sscv is not None:
-            items.append(("sscv", self.sscv))
-        return sorted(items)
+        """Flat (metric, value) pairs of :meth:`to_json_dict` but the bins,
+        sorted by name, for plot data; absent metrics omitted."""
+        return sorted((k, v) for k, v in self.to_json_dict().items() if k != "stratified")
 
 
 def compute_report(run: EvaluationRun, bins: SizeBins) -> MetricsReport:
-    """Evaluate every metric over one run."""
-    ratio, singleton_cov = singleton_stats(run)
-    stratified = size_stratified_coverage(run, bins)
+    """Every metric of one run, from its set ``sizes`` and ``covered`` flags.
+
+    Coverage is the fraction of covered labels; ``singleton_coverage`` is
+    that fraction among the sets of size 1, None when there are none.  Each
+    bin reports its instance count and coverage, None when empty.
+    """
+    if run.n == 0:
+        raise EmptyRun("no prediction sets to evaluate")
+    sizes, covered = run.sizes, run.covered
+    # bins start at 0 and are contiguous, so a size's bin is the first
+    # whose upper edge reaches it
+    assignment = np.searchsorted([hi for _, hi in bins.edges], sizes)
+    beyond = assignment == len(bins.edges)
+    if beyond.any():
+        raise InvalidInput(f"set size {int(sizes[beyond][0])} not covered by bins {bins.edges}")
+    stratified = []
+    for i, (lo, hi) in enumerate(bins.edges):
+        in_bin = assignment == i
+        count = int(in_bin.sum())
+        stratified.append(BinStat(lo, hi, count, float(covered[in_bin].mean()) if count else None))
+    single = sizes == 1
     return MetricsReport(
-        coverage=empirical_coverage(run),
-        avg_set_size=avg_set_size(run),
-        singleton_ratio=ratio,
-        singleton_coverage=singleton_cov,
+        coverage=float(covered.mean()),
+        avg_set_size=float(sizes.mean()),
+        singleton_ratio=float(single.mean()),
+        singleton_coverage=float(covered[single].mean()) if single.any() else None,
         stratified=tuple(stratified),
         sscv=max(
             abs(s.coverage - (1.0 - run.alpha)) for s in stratified if s.coverage is not None

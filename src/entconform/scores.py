@@ -32,7 +32,6 @@ __all__ = [
     "RapsParams",
     "ScoreKind",
     "all_label_scores",
-    "threshold_masks",
     "true_label_scores",
 ]
 
@@ -101,7 +100,7 @@ class ScoreKind:
         if self.variant not in _VARIANTS:
             raise InvalidInput(f"unknown score variant {self.variant!r}")
         if self.variant == "entmax":
-            if self.gamma is None or not 1.0 < self.gamma < 2.0:
+            if self.gamma is None or not 1.0 < checked(self.gamma, float, "gamma") < 2.0:
                 raise InvalidGamma(
                     "entmax score kind needs gamma strictly inside (1, 2); "
                     "use the sparsemax / log_margin variants for the endpoints"
@@ -200,7 +199,8 @@ def _as_labels(labels) -> np.ndarray:
 #
 # The sort is kept in a :class:`_SortedRows` view.  A sweep sorts each
 # part of a split once and scores every method, alpha and grid point from
-# that view; the public functions below sort one row block at a time and
+# that view; the public functions below, and the sets of
+# :func:`entconform.conformal.set_masks`, sort one row block at a time and
 # score each block's view with the same functions.
 # ---------------------------------------------------------------------------
 
@@ -471,19 +471,6 @@ def _true_scores(view: _SortedRows, kind: ScoreKind, u) -> np.ndarray:
     return out
 
 
-def _rank_sets(view: _SortedRows, kind: ScoreKind, q: float, u) -> np.ndarray:
-    """``score <= q`` in rank order as a bool (n, K) mask; ``u`` is
-    resolved.  For the general-gamma kind each row's set is found by a rank
-    search (:func:`_entmax_prefix`), so no O(K^2) score matrix is built."""
-    mask = np.empty((view.n, view.num_classes), dtype=bool)
-    for rows in _row_blocks(view.n, view.num_classes):
-        if kind.variant == "entmax":
-            mask[rows] = _entmax_prefix(view.zs[rows], 1.0 / (kind.gamma - 1.0), q)
-        else:
-            mask[rows] = _rank_order_scores(view, rows, kind, u) <= q
-    return mask
-
-
 def all_label_scores(Z, kind: ScoreKind, u=None) -> np.ndarray:
     """Score of every (instance, label) pair; shape (n, K).
 
@@ -499,22 +486,6 @@ def all_label_scores(Z, kind: ScoreKind, u=None) -> np.ndarray:
         s = _rank_order_scores(view, slice(None), kind, u[rows])
         np.put_along_axis(out[rows], view.order, s, axis=1)
     return out
-
-
-def threshold_masks(Z, kind: ScoreKind, q: float, u=None) -> np.ndarray:
-    """``all_label_scores(Z, kind, u) <= q`` as a bool (n, K) mask, bit for bit.
-
-    Each block of rows is sorted, compared in rank order by
-    :func:`_rank_sets` and un-sorted as bools.  ``u`` is checked as in
-    :func:`all_label_scores`, for every kind.
-    """
-    Z = _as_logit_rows(Z)
-    u = _resolve_u(Z.shape[0], u)
-    mask = np.empty(Z.shape, dtype=bool)
-    for rows in _row_blocks(*Z.shape):
-        view = _sort_rows(Z[rows])
-        np.put_along_axis(mask[rows], view.order, _rank_sets(view, kind, q, u[rows]), axis=1)
-    return mask
 
 
 def true_label_scores(Z, labels, kind: ScoreKind, u=None) -> np.ndarray:

@@ -18,10 +18,8 @@ from entconform import (
     SizeBins,
     all_label_scores,
     compute_report,
-    empirical_coverage,
     entmax,
     run_experiment,
-    size_stratified_coverage,
     support_sets_via_entmax,
     true_label_scores,
     tune_gamma,
@@ -262,12 +260,13 @@ def test_criterion_8_metric_identities():
             run = EvaluationRun(
                 sets=tuple(sets), labels=rng.integers(0, 10, size=n), alpha=0.25
             )
-            stats = size_stratified_coverage(run, bins)
+            report = compute_report(run, bins)
+            stats = report.stratified
             assert sum(s.n for s in stats) == run.n
             recomposed = (
                 sum(s.n * s.coverage for s in stats if s.coverage is not None) / run.n
             )
-            assert abs(recomposed - empirical_coverage(run)) <= 1e-12
+            assert abs(recomposed - report.coverage) <= 1e-12
 
         # every nonempty bin at exactly 1 - alpha = 3/4 forces sscv == 0
         bin_sizes = {0: 1, 1: 2, 2: 4, 3: 8}

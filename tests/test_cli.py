@@ -552,6 +552,27 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "method, message",
+        [
+            ({"score": "entmax", "tune": True, "gamma_grid": [2.5]}, "strictly inside (1, 2)"),
+            ({"score": "entmax", "tune": True, "gamma_grid": []}, "gamma grid is empty"),
+            ({"score": "raps", "tune": True, "k_grid": []}, "RAPS grids must be nonempty"),
+            ({"score": "raps", "tune": True, "lambda_grid": [-0.1]}, "lambda_reg must be nonnegative"),
+        ],
+        ids=["gamma-outside", "gamma-empty", "k-empty", "lambda-negative"],
+    )
+    def test_bad_grid_exits_2_before_the_input_is_read(self, tmp_path, capsys, method, message):
+        # a tuned method's grid is checked with the config, not mid-sweep:
+        # the missing input is never opened
+        cfg = {"input_path": str(tmp_path / "missing.csv"), "methods": [method], "alphas": [0.1]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "cannot open" not in err
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"methods": []}))

@@ -10,10 +10,12 @@ from entconform import (
     DimensionMismatch,
     EmptyCalibration,
     EvaluationRun,
+    ExperimentConfig,
     InvalidGamma,
     InvalidInput,
     LabeledLogitDataset,
     LabelOutOfRange,
+    MethodSpec,
     PredictionSet,
     RapsParams,
     ScoreKind,
@@ -25,6 +27,7 @@ from entconform import (
     set_masks,
     support_sets_via_entmax,
     true_label_scores,
+    tune_gamma,
 )
 from entconform import conformal, scores
 from entconform.tuning import DEFAULT_GAMMA_GRID
@@ -285,6 +288,30 @@ class TestPredictSet:
         pred = calibrate(data, ScoreKind.raps(params), 0.2)
         expected = all_label_scores(test, pred.score_kind, u=u) <= pred.q_hat
         np.testing.assert_array_equal(set_masks(test, pred), expected)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=ALL_KIND_IDS)
+    def test_u_checked_at_an_infinite_q_hat(self, kind):
+        # every set comes from one builder, which checks u before its
+        # q_hat = inf shortcut, so the u that a finite q_hat rejects is
+        # rejected there too
+        Z = np.zeros((3, 5))
+        for q_hat in (math.inf, 1.0):
+            pred = CalibratedPredictor(kind, alpha=0.1, q_hat=q_hat, calib_n=4, num_classes=5)
+            with pytest.raises(InvalidInput):
+                set_masks(Z, pred, u=5.0)
+        assert set_masks(Z, CalibratedPredictor(kind, 0.1, math.inf, 4, 5), u=0.5).all()
+
+    def test_randomized_draw_spans_every_row_block(self, monkeypatch):
+        # without u, the set stream draws one weight per row of the whole
+        # batch, however the rows are blocked
+        rng = np.random.default_rng(77)
+        Z = rng.normal(size=(50, 6))
+        kind = ScoreKind.raps(RapsParams(0.01, 2, randomized=True, rng_seed=3))
+        pred = calibrate(LabeledLogitDataset(Z, rng.integers(0, 6, 50)), kind, 0.3)
+        u = np.random.default_rng(3 + 1).uniform(size=50)
+        monkeypatch.setattr(scores, "_CHUNK_CELLS", 7 * 6)
+        expected = all_label_scores(Z, kind, u=u) <= pred.q_hat
+        np.testing.assert_array_equal(set_masks(Z, pred), expected)
 
 
 class TestSupportSetViaEntmax:
@@ -635,12 +662,23 @@ class TestDatasetValidation:
         (lambda: RapsParams("0.1", 2), InvalidInput),
         (lambda: SplitSpec((0.5, 0.5), 1.5), InvalidInput),
         (lambda: SplitSpec(("0.5", 0.5), 0), InvalidInput),
+        (lambda: ScoreKind.entmax("1.5"), InvalidInput),
+        (lambda: calibrate(toy_dataset(), ScoreKind.sparsemax(), "x"), InvalidInput),
+        (lambda: calibrate(toy_dataset(), ScoreKind.sparsemax(), "0.1"), InvalidInput),
+        (lambda: conformal_quantile([0.5, 1.0], "0.1"), InvalidInput),
+        (lambda: tune_gamma(make_task(40, num_classes=4, seed=1), "0.2"), InvalidInput),
+        (lambda: EvaluationRun(np.ones((2, 3), dtype=bool), [0, 1], "0.1"), InvalidInput),
+        (lambda: EvaluationRun((PredictionSet((0,)),), [0], "0.1"), InvalidInput),
+        (lambda: ExperimentConfig("in.csv", (MethodSpec("sparsemax", kind=ScoreKind.sparsemax()),),
+                                  ("0.1",)), InvalidInput),
     ],
     ids=[
         "dataset-fractional-label", "dataset-nan-label", "mask-run-fractional-label",
         "set-run-fractional-label", "scores-fractional-label", "scores-nan-label",
         "raps-fractional-k", "raps-int-randomized", "raps-str-lambda",
-        "split-fractional-seed", "split-str-fraction",
+        "split-fractional-seed", "split-str-fraction", "entmax-str-gamma",
+        "calibrate-word-alpha", "calibrate-str-alpha", "quantile-str-alpha",
+        "tune-gamma-str-alpha", "mask-run-str-alpha", "set-run-str-alpha", "config-str-alpha",
     ],
 )
 def test_python_api_rejects_what_the_file_boundaries_reject(build, error):

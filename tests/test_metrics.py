@@ -8,12 +8,10 @@ from entconform import (
     MetricsReport,
     PredictionSet,
     SizeBins,
-    avg_set_size,
     compute_report,
-    empirical_coverage,
-    singleton_stats,
-    size_stratified_coverage,
 )
+
+BINS = SizeBins.default(10)
 
 
 def make_run(label_sets, labels, alpha=0.1):
@@ -36,51 +34,49 @@ def random_run(rng, n=50, k=10, alpha=0.1):
 class TestEmpiricalCoverage:
     def test_hand_count(self):
         run = make_run([{1}, {1, 2}, {3}], [1, 3, 3])
-        assert empirical_coverage(run) == pytest.approx(2 / 3)
+        assert compute_report(run, BINS).coverage == pytest.approx(2 / 3)
 
     def test_full_sets_cover_everything(self):
         run = make_run([set(range(5))] * 4, [0, 1, 2, 4])
-        assert empirical_coverage(run) == 1.0
+        assert compute_report(run, BINS).coverage == 1.0
 
     def test_empty_sets_cover_nothing(self):
         run = make_run([set(), set()], [0, 1])
-        assert empirical_coverage(run) == 0.0
+        assert compute_report(run, BINS).coverage == 0.0
 
     def test_empty_run(self):
         with pytest.raises(EmptyRun):
-            empirical_coverage(make_run([], []))
+            compute_report(make_run([], []), BINS)
 
 
 class TestAvgSetSize:
     def test_hand_mean(self):
         run = make_run([{0}, {0, 1}, {0, 1, 2}], [0, 0, 0])
-        assert avg_set_size(run) == 2.0
+        assert compute_report(run, BINS).avg_set_size == 2.0
 
     def test_all_singletons(self):
         run = make_run([{3}] * 5, [3, 3, 3, 0, 1])
-        assert avg_set_size(run) == 1.0
+        assert compute_report(run, BINS).avg_set_size == 1.0
 
     def test_all_full(self):
         run = make_run([set(range(10))] * 3, [0, 1, 2])
-        assert avg_set_size(run) == 10.0
+        assert compute_report(run, BINS).avg_set_size == 10.0
 
 
 class TestSingletonStats:
     def test_hand_count(self):
-        run = make_run([{1}, {1, 2}], [1, 0])
-        ratio, cov = singleton_stats(run)
-        assert ratio == 0.5
-        assert cov == 1.0
+        report = compute_report(make_run([{1}, {1, 2}], [1, 0]), BINS)
+        assert report.singleton_ratio == 0.5
+        assert report.singleton_coverage == 1.0
 
     def test_no_singletons_coverage_absent(self):
-        run = make_run([{1, 2}, set()], [1, 0])
-        ratio, cov = singleton_stats(run)
-        assert ratio == 0.0
-        assert cov is None
+        report = compute_report(make_run([{1, 2}, set()], [1, 0]), BINS)
+        assert report.singleton_ratio == 0.0
+        assert report.singleton_coverage is None
 
     def test_all_correct_singletons(self):
-        run = make_run([{2}, {4}], [2, 4])
-        assert singleton_stats(run) == (1.0, 1.0)
+        report = compute_report(make_run([{2}, {4}], [2, 4]), BINS)
+        assert (report.singleton_ratio, report.singleton_coverage) == (1.0, 1.0)
 
 
 class TestSizeBins:
@@ -109,7 +105,7 @@ class TestSizeBins:
 class TestSizeStratifiedCoverage:
     def test_hand_binning(self):
         run = make_run([{0}, {0, 1}, {0, 1, 2, 3, 4}], [0, 0, 0])
-        stats = size_stratified_coverage(run, SizeBins.default(10))
+        stats = compute_report(run, BINS).stratified
         assert [(s.lo, s.hi, s.n, s.coverage) for s in stats] == [
             (0, 1, 1, 1.0),
             (2, 3, 1, 1.0),
@@ -119,15 +115,15 @@ class TestSizeStratifiedCoverage:
 
     def test_empty_bin_reported_as_none(self):
         run = make_run([{0}], [0])
-        stats = size_stratified_coverage(run, SizeBins.default(10))
+        stats = compute_report(run, BINS).stratified
         assert stats[0].n == 1
         assert all(s.n == 0 and s.coverage is None for s in stats[1:])
 
     def test_single_bin_reproduces_empirical_coverage(self):
         rng = np.random.default_rng(5)
         run = random_run(rng)
-        stats = size_stratified_coverage(run, SizeBins(((0, 10),)))
-        assert stats[0].coverage == pytest.approx(empirical_coverage(run))
+        report = compute_report(run, SizeBins(((0, 10),)))
+        assert report.stratified[0].coverage == pytest.approx(report.coverage)
 
 
 class TestSscv:
@@ -158,12 +154,13 @@ class TestMetricIdentities:
         bins = SizeBins.default(10)
         for _ in range(200):
             run = random_run(rng, n=int(rng.integers(1, 60)))
-            stats = size_stratified_coverage(run, bins)
+            report = compute_report(run, bins)
+            stats = report.stratified
             assert sum(s.n for s in stats) == run.n
             recomposed = (
                 sum(s.n * s.coverage for s in stats if s.coverage is not None) / run.n
             )
-            assert recomposed == pytest.approx(empirical_coverage(run), abs=1e-12)
+            assert recomposed == pytest.approx(report.coverage, abs=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -174,11 +171,12 @@ class TestMetricIdentities:
             labels=run.labels[perm],
             alpha=run.alpha,
         )
-        bins = SizeBins.default(10)
-        assert empirical_coverage(shuffled) == empirical_coverage(run)
-        assert avg_set_size(shuffled) == avg_set_size(run)
-        assert singleton_stats(shuffled) == singleton_stats(run)
-        assert compute_report(shuffled, bins).sscv == compute_report(run, bins).sscv
+        before, after = compute_report(run, BINS), compute_report(shuffled, BINS)
+        assert after.coverage == before.coverage
+        assert after.avg_set_size == before.avg_set_size
+        assert after.singleton_ratio == before.singleton_ratio
+        assert after.singleton_coverage == before.singleton_coverage
+        assert after.sscv == before.sscv
 
 
 class TestReport:
@@ -187,8 +185,8 @@ class TestReport:
         run = random_run(rng, n=40)
         report = compute_report(run, SizeBins.default(10))
         assert isinstance(report, MetricsReport)
-        assert report.coverage == empirical_coverage(run)
-        assert report.avg_set_size == avg_set_size(run)
+        assert report.coverage == float(run.covered.mean())
+        assert report.avg_set_size == float(run.sizes.mean())
         assert sum(s.n for s in report.stratified) == 40
 
     def test_json_omits_absent_metrics(self):
@@ -203,6 +201,22 @@ class TestReport:
         names = [name for name, _ in items]
         assert names == sorted(names)
         assert "singleton_coverage" in names
+
+
+    def test_metric_items_are_the_json_metrics(self):
+        # sizes 1, 1, 2 with the second set missing its label
+        run = make_run([{0}, {2}, {0, 1}], [0, 1, 0], alpha=0.1)
+        report = compute_report(run, SizeBins.default(5))
+        items = report.metric_items()
+        assert [name for name, _ in items] == [
+            "avg_set_size", "coverage", "singleton_coverage", "singleton_ratio", "sscv"
+        ]
+        assert dict(items) == pytest.approx({
+            "avg_set_size": 4 / 3, "coverage": 2 / 3, "singleton_coverage": 0.5,
+            "singleton_ratio": 2 / 3, "sscv": 0.4,
+        })
+        doc = report.to_json_dict()
+        assert dict(items) == {k: v for k, v in doc.items() if k != "stratified"}
 
 
 def mask_run(mask, labels, alpha=0.1):

@@ -14,7 +14,8 @@ from entconform import (
     true_label_scores,
 )
 import entconform.scores as scores_mod
-from entconform.scores import descending_order, threshold_masks
+from entconform.conformal import CalibratedPredictor, _view_sets, set_masks
+from entconform.scores import descending_order
 
 from oracles import delta_norm, gap_vector
 
@@ -27,6 +28,11 @@ INV_PROB = ScoreKind.inv_prob()
 def score_one(kind, z, y, u=None):
     """The score of one (z, y) pair, through the batch function."""
     return true_label_scores(np.asarray(z, dtype=float)[None, :], [y], kind, u=u)[0]
+
+
+def predictor_at(kind, q, k):
+    """A predictor whose sets are ``all_label_scores(Z, kind) <= q``."""
+    return CalibratedPredictor(kind, alpha=0.1, q_hat=float(q), calib_n=10, num_classes=k)
 
 
 def family_kind(gamma):
@@ -164,7 +170,7 @@ class TestRapsScore:
         with pytest.raises(InvalidInput):
             true_label_scores(Z, [0] * 5, kind, u=u)
         with pytest.raises(InvalidInput):
-            threshold_masks(Z, kind, 0.5, u=u)
+            set_masks(Z, predictor_at(kind, 0.5, 4), u=u)
 
     def test_k_reg_beyond_classes(self):
         params = RapsParams(lambda_reg=0.1, k_reg=9)
@@ -323,7 +329,7 @@ class TestVectorizedAgainstScalar:
         calls = {
             "all_label_scores": lambda: all_label_scores(Z, kind, u=u),
             "true_label_scores": lambda: true_label_scores(Z, labels, kind, u=u),
-            "threshold_masks": lambda: threshold_masks(Z, kind, q, u=u),
+            "set_masks": lambda: set_masks(Z, predictor_at(kind, q, 57), u=u),
         }
         whole = {name: call() for name, call in calls.items()}
         sorts = []
@@ -376,10 +382,11 @@ class TestVectorizedAgainstScalar:
         assert got.tobytes() == scores_mod._true_scores(fresh, kind, u[idx]).tobytes()
         assert got.tobytes() == true_label_scores(Z[idx], labels[idx], kind, u=u[idx]).tobytes()
         for q in np.quantile(got, [0.0, 0.3, 0.9]):
-            sets = scores_mod._rank_sets(part, kind, q, u[idx])
-            np.testing.assert_array_equal(sets, scores_mod._rank_sets(fresh, kind, q, u[idx]))
+            pred = predictor_at(kind, q, 57)
+            sets = _view_sets(part, pred, u[idx])
+            np.testing.assert_array_equal(sets, _view_sets(fresh, pred, u[idx]))
             np.testing.assert_array_equal(
-                sets.sum(axis=1), threshold_masks(Z[idx], kind, q, u=u[idx]).sum(axis=1)
+                sets.sum(axis=1), set_masks(Z[idx], pred, u=u[idx]).sum(axis=1)
             )
 
     @pytest.mark.parametrize(
@@ -406,7 +413,7 @@ class TestVectorizedAgainstScalar:
             s = true_label_scores(Z, labels, kind)
             true_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            threshold_masks(Z, kind, float(np.median(s)))
+            set_masks(Z, predictor_at(kind, float(np.median(s)), 1000))
             mask_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
