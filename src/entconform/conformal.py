@@ -187,30 +187,20 @@ def _calibration_scores(scores) -> np.ndarray:
     return scores
 
 
-def _quantile_rank(n: int, alpha: float) -> int:
-    return math.ceil((n + 1) * (1.0 - _check_alpha(alpha)))
-
-
 def conformal_quantile(scores, alpha: float) -> float:
     """ceil((n+1)(1-alpha))-th smallest score, or +inf when out of range.
 
     Duplicates count: this is the order statistic, not an interpolated
     quantile.
     """
-    scores = _calibration_scores(scores)
-    n = scores.size
-    r = _quantile_rank(n, alpha)
-    if r > n:
-        return math.inf
-    return float(np.partition(scores, r - 1)[r - 1])
+    return _order_statistic(np.sort(_calibration_scores(scores)), alpha)
 
 
 def _order_statistic(ordered: np.ndarray, alpha: float) -> float:
     """:func:`conformal_quantile` of scores sorted ascending: the element at
-    index r - 1 of the sorted scores is the one that ``np.partition`` puts
-    there."""
+    index ceil((n+1)(1-alpha)) - 1, or +inf when that exceeds n - 1."""
     n = ordered.size
-    r = _quantile_rank(n, alpha)
+    r = math.ceil((n + 1) * (1.0 - _check_alpha(alpha)))
     return math.inf if r > n else float(ordered[r - 1])
 
 

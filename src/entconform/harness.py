@@ -47,7 +47,7 @@ from .tuning import (
     _gamma_kinds,
     _grid_search,
     _raps_kinds,
-    split,
+    _split_view,
 )
 
 __all__ = [
@@ -248,9 +248,9 @@ def read_json_object(path: str) -> dict:
     return doc
 
 
-_GRID_TYPES = {"gamma_grid": float, "lambda_grid": float, "k_grid": int}
 # The grids each tunable score searches; no other method takes a grid.
 _GRIDS = {"entmax": ("gamma_grid",), "raps": ("lambda_grid", "k_grid")}
+_GRID_KEYS = ("gamma_grid", "lambda_grid", "k_grid")
 
 
 @dataclass(frozen=True)
@@ -283,6 +283,8 @@ class MethodSpec:
             else:
                 kinds = _raps_kinds(self.lambda_grid, self.k_grid)
             object.__setattr__(self, "grid_kinds", kinds)
+            for key in _GRIDS[self.score]:
+                object.__setattr__(self, key, tuple(getattr(self, key)))
         elif self.kind is None or self.kind.variant != self.score:
             raise InvalidInput(f"untuned {self.score} method needs its score kind")
         if not self.name:
@@ -302,12 +304,8 @@ class MethodSpec:
             raise InvalidInput(f"a method entry must be a JSON object, got {doc!r}")
         if "score" not in doc:
             raise InvalidInput("method entry is missing 'score'")
-        options = {k: v for k, v in doc.items() if k in ("name", "tune", *_GRID_TYPES)}
+        options = {k: v for k, v in doc.items() if k in ("name", "tune", *_GRID_KEYS)}
         kind_doc = {k: v for k, v in doc.items() if k not in options}
-        for key, kind in _GRID_TYPES.items():
-            if key in options:
-                grid = checked(options[key], list, key)
-                options[key] = tuple(checked(v, kind, f"{key} entry") for v in grid)
         if options.get("tune") is True:
             if set(kind_doc) != {"score"}:
                 raise InvalidInput(
@@ -318,7 +316,7 @@ class MethodSpec:
             kind = ScoreKind.from_dict(kind_doc)
             method = cls(score=kind.variant, kind=kind, **options)
         searched = _GRIDS[method.score] if method.tune else ()
-        stray = sorted(set(options) & set(_GRID_TYPES) - set(searched))
+        stray = sorted(set(options) & set(_GRID_KEYS) - set(searched))
         if stray:
             raise InvalidInput(f"method {method.name!r} does not search {stray}")
         return method
@@ -378,10 +376,7 @@ class ExperimentConfig:
         )
         kwargs["alphas"] = tuple(checked(doc["alphas"], list, "alphas"))
         if doc.get("bins") is not None:
-            edges = checked(doc["bins"], list, "bins")
-            if not all(isinstance(e, list) and len(e) == 2 for e in edges):
-                raise InvalidInput(f"bins must be [lo, hi] pairs, got {edges!r}")
-            kwargs["bins"] = SizeBins(tuple(map(tuple, edges)))
+            kwargs["bins"] = SizeBins(doc["bins"])
         return cls(**kwargs)
 
     @classmethod
@@ -491,18 +486,17 @@ def _calibrate_cells(cal_view, method: MethodSpec, alphas, seed: int) -> list:
     return [(result.predictor, result) for result in results]
 
 
-def _split_cells(cal, test, cfg: ExperimentConfig, seed: int, bins: SizeBins):
+def _split_cells(cal_view, test_view, cfg: ExperimentConfig, seed: int, bins: SizeBins):
     """``(method name, alpha, Cell)`` for every cell of one split.
 
-    Each part is sorted once, into a view that every method, alpha and grid
-    point reads; the calibration view is dropped before the test view is
-    built.  A test cell counts its sets in rank order, with each row's
-    label rank standing in for its label, so nothing is un-sorted.
+    Both parts are row gathers of the sweep's one sorted view, which every
+    method, alpha and grid point reads; the calibration part, with what
+    its scores derived, is dropped before the test part is scored.  A test
+    cell counts its sets in rank order, with each row's label rank standing
+    in for its label, so nothing is un-sorted.
     """
-    cal_view = _sort_rows(cal.logits, cal.labels)
     calibrated = [_calibrate_cells(cal_view, m, cfg.alphas, seed) for m in cfg.methods]
-    del cal, cal_view
-    test_view = _sort_rows(test.logits, test.labels)
+    del cal_view
     for method, cells in zip(cfg.methods, calibrated):
         for alpha, (pred, tuning) in zip(cfg.alphas, cells):
             run = EvaluationRun(sets=_view_sets(test_view, pred), labels=test_view.rank, alpha=alpha)
@@ -514,15 +508,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     dataset at ``cfg.input_path``.
 
     Split ``s`` uses seed ``base_seed + s`` for its calibration/test
-    shuffle (and for any tuning sub-split).
+    shuffle (and for any tuning sub-split).  The input is sorted once, and
+    every part of every split is a row gather of that sorted view.
     """
     data = load_dataset(cfg.input_path)
     bins = cfg.bins if cfg.bins is not None else SizeBins.default(data.num_classes)
+    if bins.edges[-1][1] < data.num_classes:
+        raise InvalidInput(f"set size {data.num_classes} not covered by bins {bins.edges}")
+    view = _sort_rows(data.logits, data.labels)
     seeds = tuple(cfg.base_seed + s for s in range(cfg.n_splits))
     cells: dict = {m.name: {alpha: [] for alpha in cfg.alphas} for m in cfg.methods}
     for seed in seeds:
         spec = SplitSpec((cfg.cal_fraction, 1.0 - cfg.cal_fraction), seed=seed)
-        for name, alpha, cell in _split_cells(*split(data, spec), cfg, seed, bins):
+        for name, alpha, cell in _split_cells(*_split_view(view, spec), cfg, seed, bins):
             cells[name][alpha].append(cell)
     return ExperimentReport(
         config=cfg.to_dict(),

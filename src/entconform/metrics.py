@@ -34,6 +34,11 @@ class SizeBins:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        pairs = isinstance(self.edges, (list, tuple)) and all(
+            isinstance(e, (list, tuple)) and len(e) == 2 for e in self.edges
+        )
+        if not pairs:
+            raise InvalidInput(f"bins must be [lo, hi] pairs, got {self.edges!r}")
         edges = tuple(
             (int(checked(lo, int, "bin edge")), int(checked(hi, int, "bin edge")))
             for lo, hi in self.edges

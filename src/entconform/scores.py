@@ -197,9 +197,10 @@ def _as_labels(labels) -> np.ndarray:
 # needs only its size, found by a binary search over the ranks at O(K) per
 # probe: O(K log K) per row in all (see :func:`_entmax_prefix`).
 #
-# The sort is kept in a :class:`_SortedRows` view.  A sweep sorts each
-# part of a split once and scores every method, alpha and grid point from
-# that view; the public functions below, and the sets of
+# The sort is kept in a :class:`_SortedRows` view.  A sweep sorts its input
+# once; every part of every split is a row gather of that view, and every
+# method, alpha and grid point is scored from it.  The public functions
+# below, and the sets of
 # :func:`entconform.conformal.set_masks`, sort one row block at a time and
 # score each block's view with the same functions.
 # ---------------------------------------------------------------------------
@@ -216,36 +217,40 @@ class _SortedRows:
     """Rows sorted once, for every score and set read from them.
 
     ``order`` holds each row's stable descending order, in the narrowest
-    integer type that holds K (int16 up to 32767); ``zs`` the rows in
-    that order; ``rank``, when labels were given, each row's 0-based rank
-    of its label.  ``Z`` is the rows in label order, which only
-    :attr:`probs` reads.  ``sorted_scores`` keeps each calibrated kind's
-    sorted true-label scores (see :func:`entconform.conformal.calibrate`),
-    one n-vector per kind, so that every alpha reads one score vector.
+    integer type that holds K (int16 up to 32767); ``rank``, when labels
+    were given, each row's 0-based rank of its label.  ``Z`` is the rows in
+    label order.  The rows in rank order (:attr:`zs`) and their softmax
+    (:attr:`probs`) are derived from ``Z`` and ``order`` on first use.
+    ``sorted_scores`` keeps each calibrated kind's sorted true-label scores
+    (see :func:`entconform.conformal.calibrate`), one n-vector per kind, so
+    that every alpha reads one score vector.
     """
 
-    def __init__(self, Z, order, zs, rank=None):
-        self.Z, self.order, self.zs, self.rank = Z, order, zs, rank
+    def __init__(self, Z, order, rank=None):
+        self.Z, self.order, self.rank = Z, order, rank
+        self.n, self.num_classes = order.shape
         self.sorted_scores: dict = {}
 
-    @property
-    def n(self) -> int:
-        return self.zs.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.zs.shape[1]
+    @cached_property
+    def zs(self) -> np.ndarray:
+        """The rows in rank order, gathered on first use and kept."""
+        return self._in_rank_order(lambda Z: Z)
 
     @cached_property
     def probs(self) -> np.ndarray:
         """The softmax of each row in rank order, computed on first use and
         kept.  It is normalized in label order, as a sort-free softmax is,
         so every score read from it keeps its bits."""
-        probs = np.empty((self.n, self.num_classes))
+        return self._in_rank_order(_softmax_rows)
+
+    def _in_rank_order(self, rowwise) -> np.ndarray:
+        """``rowwise`` of the rows in label order, put in rank order, built
+        in row blocks."""
+        out = np.empty((self.n, self.num_classes))
         for rows in _row_blocks(self.n, self.num_classes):
             Z, order = self._label_order(rows)
-            probs[rows] = np.take_along_axis(_softmax_rows(Z), order, axis=1)
-        return probs
+            out[rows] = np.take_along_axis(rowwise(Z), order, axis=1)
+        return out
 
     def _label_order(self, rows):
         """``rows`` in label order, and their order."""
@@ -257,25 +262,14 @@ class _SortedRows:
 
 
 class _GatheredRows(_SortedRows):
-    """Rows ``idx`` of a view.  ``zs`` and ``rank`` are gathered from it on
-    first use, and ``probs`` computed from its rows, so a part holds only
-    what its scores read."""
+    """Rows ``idx`` of a view, which may itself be a gather.  ``rank`` is
+    gathered from it on first use, and ``zs`` and ``probs`` are derived
+    from the gathered rows, so a part holds only what its scores read."""
 
     def __init__(self, parent: _SortedRows, idx: np.ndarray):
         self.parent, self.idx = parent, idx
+        self.n, self.num_classes = idx.size, parent.num_classes
         self.sorted_scores = {}
-
-    @property
-    def n(self) -> int:
-        return self.idx.size
-
-    @property
-    def num_classes(self) -> int:
-        return self.parent.num_classes
-
-    @cached_property
-    def zs(self) -> np.ndarray:
-        return self.parent.zs[self.idx]
 
     @cached_property
     def rank(self) -> np.ndarray:
@@ -290,15 +284,12 @@ def _sort_rows(Z: np.ndarray, labels=None) -> _SortedRows:
     ``descending_order`` so that the sort's temporaries stay block-sized."""
     n, k = Z.shape
     order = np.empty((n, k), dtype=np.int16 if k <= np.iinfo(np.int16).max else np.int32)
-    zs = np.empty((n, k))
     rank = None if labels is None else np.empty(n, dtype=np.intp)
     for rows in _row_blocks(n, k):
-        block_order = descending_order(Z[rows])
-        order[rows] = block_order
-        zs[rows] = np.take_along_axis(Z[rows], block_order, axis=1)
+        order[rows] = descending_order(Z[rows])
         if rank is not None:
-            rank[rows] = np.argmax(block_order == labels[rows, None], axis=1)
-    return _SortedRows(Z, order, zs, rank)
+            rank[rows] = np.argmax(order[rows] == labels[rows, None], axis=1)
+    return _SortedRows(Z, order, rank)
 
 
 def _sparsemax_all_sorted(zs: np.ndarray) -> np.ndarray:

@@ -86,6 +86,12 @@ def split(data: LabeledLogitDataset, spec: SplitSpec) -> list[LabeledLogitDatase
     return [data.subset(idx) for idx in _split_indices(data.n, spec)]
 
 
+def _split_view(view, spec: SplitSpec) -> list:
+    """The parts of :func:`split` as row gathers of the sorted view of the
+    rows to split, never sorted again."""
+    return [view.take(idx) for idx in _split_indices(view.n, spec)]
+
+
 Parameter = Union[float, tuple[float, int]]
 
 
@@ -124,12 +130,11 @@ def _grid_search(view, alphas, seed: int, kinds: dict) -> list[TuningResult]:
     one result per alpha.
 
     ``view`` is the sorted view of the rows to split, with their ranks.
-    Both parts are row gathers of it, dropped on return.  The calibration
-    part scores each entry once for every alpha, and set sizes are counted
-    in rank order.
+    Both parts are row gathers of it (:func:`_split_view`), dropped on
+    return.  The calibration part scores each entry once for every alpha,
+    and set sizes are counted in rank order.
     """
-    cal_rows, tune_rows = _split_indices(view.n, SplitSpec(_TUNING_FRACTIONS, seed))
-    cal_part, tune_part = view.take(cal_rows), view.take(tune_rows)
+    cal_part, tune_part = _split_view(view, SplitSpec(_TUNING_FRACTIONS, seed))
     tables = [{} for _ in alphas]
     preds = [{} for _ in alphas]
     for param, kind in kinds.items():
@@ -143,9 +148,18 @@ def _grid_search(view, alphas, seed: int, kinds: dict) -> list[TuningResult]:
     return results
 
 
+def _grid_entries(grid, kind: type, what: str) -> list:
+    """The entries of a grid as ``kind``, each checked: a grid is a list, a
+    tuple or a 1-D array, else :class:`InvalidInput`."""
+    listed = isinstance(grid, (list, tuple)) or isinstance(grid, np.ndarray) and grid.ndim == 1
+    if not listed:
+        raise InvalidInput(f"{what} must be a list of numbers, got {grid!r}")
+    return [kind(checked(v, kind, f"{what} entry")) for v in grid]
+
+
 def _gamma_kinds(grid) -> dict:
     """``{gamma: ScoreKind}`` of a checked gamma grid."""
-    grid = [float(checked(g, float, "gamma grid entry")) for g in grid]
+    grid = _grid_entries(grid, float, "gamma grid")
     if not grid:
         raise InvalidInput("gamma grid is empty")
     if any(not 1.0 < g < 2.0 for g in grid):
@@ -156,8 +170,8 @@ def _gamma_kinds(grid) -> dict:
 def _raps_kinds(lambda_grid, k_grid) -> dict:
     """``{(lambda_reg, k_reg): ScoreKind}`` of checked RAPS grids, with the
     deterministic RAPS variant so that the search is reproducible."""
-    lambdas = [float(checked(l, float, "lambda grid entry")) for l in lambda_grid]
-    ks = [int(checked(k, int, "k grid entry")) for k in k_grid]
+    lambdas = _grid_entries(lambda_grid, float, "lambda grid")
+    ks = _grid_entries(k_grid, int, "k grid")
     if not lambdas or not ks:
         raise InvalidInput("RAPS grids must be nonempty")
     return {

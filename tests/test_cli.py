@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from entconform import (
-    PredictionSet, ScoreKind, calibrate, scores, set_masks, tune_gamma, tune_raps
+    PredictionSet, ScoreKind, calibrate, harness, scores, set_masks, tune_gamma, tune_raps
 )
 from entconform.cli import main
 from entconform.tuning import DEFAULT_GAMMA_GRID
@@ -454,6 +454,31 @@ class TestSweepCommand:
         code = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert "not covered by bins" in capsys.readouterr().err
+
+    def test_bins_short_of_k_exit_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # on this easy input no set reaches size 4, but a full set of 10
+        # labels could: bins that stop below K fail on every input, before
+        # the input is sorted
+        csv_path = tmp_path / "easy.csv"
+        write_dataset_csv(str(csv_path), make_task(400, 10, seed=13, radius=6.0))
+        cfg = {
+            "input_path": str(csv_path),
+            "methods": [{"score": "sparsemax"}, {"score": "inv_prob"}],
+            "alphas": [0.1],
+            "n_splits": 1,
+            "bins": [[0, 1], [2, 3]],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+
+        def unsorted(*args):
+            raise AssertionError("the input was sorted")
+
+        monkeypatch.setattr(harness, "_sort_rows", unsorted)
+        code = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "set size 10 not covered by bins" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("alphas", [[0.1, 0.1], [0.05, 0.1, 0.1]], ids=["pair", "tail"])
     def test_duplicate_alphas_exit_2(self, tmp_path, dataset_csv, capsys, alphas):

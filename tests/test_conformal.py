@@ -28,6 +28,7 @@ from entconform import (
     support_sets_via_entmax,
     true_label_scores,
     tune_gamma,
+    tune_raps,
 )
 from entconform import conformal, scores
 from entconform.tuning import DEFAULT_GAMMA_GRID
@@ -671,6 +672,11 @@ class TestDatasetValidation:
         (lambda: EvaluationRun((PredictionSet((0,)),), [0], "0.1"), InvalidInput),
         (lambda: ExperimentConfig("in.csv", (MethodSpec("sparsemax", kind=ScoreKind.sparsemax()),),
                                   ("0.1",)), InvalidInput),
+        (lambda: MethodSpec("entmax", tune=True, gamma_grid=5), InvalidInput),
+        (lambda: MethodSpec("raps", tune=True, lambda_grid=0.01), InvalidInput),
+        (lambda: tune_gamma(make_task(40, num_classes=4, seed=1), 0.2, grid=5), InvalidInput),
+        (lambda: tune_raps(make_task(40, num_classes=4, seed=1), 0.2, k_grid=np.array(2)),
+         InvalidInput),
     ],
     ids=[
         "dataset-fractional-label", "dataset-nan-label", "mask-run-fractional-label",
@@ -679,6 +685,8 @@ class TestDatasetValidation:
         "split-fractional-seed", "split-str-fraction", "entmax-str-gamma",
         "calibrate-word-alpha", "calibrate-str-alpha", "quantile-str-alpha",
         "tune-gamma-str-alpha", "mask-run-str-alpha", "set-run-str-alpha", "config-str-alpha",
+        "method-int-gamma-grid", "method-real-lambda-grid", "tune-gamma-int-grid",
+        "tune-raps-0d-k-grid",
     ],
 )
 def test_python_api_rejects_what_the_file_boundaries_reject(build, error):

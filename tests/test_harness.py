@@ -280,6 +280,11 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             MethodSpec.from_dict({"score": "sparsemax", "tune": True})
 
+    def test_tuned_grids_are_kept_as_tuples(self):
+        method = MethodSpec.from_dict({"score": "raps", "tune": True, "k_grid": [1, 2]})
+        assert method.k_grid == (1, 2) and method.lambda_grid == tuning_mod.DEFAULT_LAMBDA_GRID
+        assert method == MethodSpec("raps", tune=True, k_grid=(1, 2))
+
 
 def tiny_experiment(tmp_path, n=200, methods=None, alphas=(0.1, 0.2), n_splits=2):
     data = make_task(n, num_classes=4, seed=3, radius=4.0, align=0.8)
@@ -367,9 +372,9 @@ class TestRunExperiment:
         assert calls == [SplitSpec((0.4, 0.6), seed=11), SplitSpec((0.6, 0.4), seed=11)]
 
     def test_each_row_is_sorted_once_per_split(self, tmp_path, monkeypatch):
-        # every method, alpha and grid point reads one sorted view of each
-        # part of a split, and the tuning parts are gathers of the
-        # calibration part's view
+        # the sweep sorts its input once: every part of every split, and
+        # every tuning part, is a row gather of that one sorted view, read
+        # by every method, alpha and grid point
         import entconform.scores as scores_mod
 
         rows = []
@@ -395,7 +400,24 @@ class TestRunExperiment:
         )
         monkeypatch.setattr(scores_mod, "descending_order", counted_sort)
         run_experiment(cfg)
-        assert sum(rows) == 2 * 300
+        assert sum(rows) == 300
+
+    def test_splits_are_gathers_not_copies(self, tmp_path, monkeypatch):
+        # no part of a split is copied out of the dataset, so none is
+        # validated or sorted again
+        def refuse(*args, **kwargs):
+            raise AssertionError("a part of a split was copied out of the dataset")
+
+        for module in (harness_mod, tuning_mod):
+            if getattr(module, "split", None) is tuning_mod.split:
+                monkeypatch.setattr(module, "split", refuse)
+        monkeypatch.setattr(LabeledLogitDataset, "subset", refuse)
+        cfg = tiny_experiment(
+            tmp_path,
+            methods=({"score": "sparsemax"}, {"score": "raps", "tune": True, "k_grid": [1, 2]}),
+            n_splits=3,
+        )
+        assert len(run_experiment(cfg).split_seeds) == 3
 
     def test_avg_size_non_increasing_in_alpha(self, tmp_path):
         alphas = tuple(round(0.02 * i, 2) for i in range(1, 8))
@@ -450,8 +472,9 @@ class TestRunExperiment:
                 "entconform.tuning._view_sets",
             }
             for _, view in seen:
-                # a tuning part holds the indices of its rows in its parent
-                rows = view.parent.Z[view.idx] if hasattr(view, "parent") else view.Z
+                # a part reads its rows through its chain of gathers
+                rows = view._label_order(slice(None))[0]
+                assert len(rows) == view.n
                 assert not ({tuple(r) for r in rows} & test_rows)
 
 

@@ -96,6 +96,14 @@ class TestSizeBins:
         with pytest.raises(InvalidInput):
             SizeBins(((0, 3), (2, 5)))
 
+    @pytest.mark.parametrize(
+        "edges", [5, ((0, 1, 2),), ((0,),), "01", ((0, 1), 2)],
+        ids=["int", "triple", "single", "str", "pair-and-int"],
+    )
+    def test_rejects_edges_that_are_not_pairs(self, edges):
+        with pytest.raises(InvalidInput, match=r"\[lo, hi\] pairs"):
+            SizeBins(edges)
+
     @pytest.mark.parametrize("edge", [1.5, 1.0, True, "1"])
     def test_rejects_non_integer_edges(self, edge):
         with pytest.raises(InvalidInput):

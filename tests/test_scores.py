@@ -364,30 +364,38 @@ class TestVectorizedAgainstScalar:
     )
     @pytest.mark.parametrize("softmax_first", [False, True], ids=["gathered", "softmax-first"])
     def test_gathered_view_scores_like_a_fresh_sort(self, kind, per_row_u, softmax_first):
-        # a tuning part is a row gather of its parent's view, with the
-        # parent's softmax when it has one; its scores and sets must be
-        # those of sorting the subset afresh, bit for bit
+        # a split part is a row gather of the sweep's view, and a tuning
+        # part a gather of that gather, with the parent's softmax when it
+        # has one; their scores and sets must be those of sorting the
+        # subset afresh, bit for bit
         rng = np.random.default_rng(67)
         Z = np.concatenate([rng.normal(size=(40, 57)), rng.integers(0, 4, (40, 57))])
         labels = rng.integers(0, 57, size=80)
         u = rng.uniform(size=80) if per_row_u else np.ones(80)
-        idx = rng.permutation(80)[:48]
+        outer = rng.permutation(80)[:64]
+        inner = rng.permutation(64)[:48]
+        idx = outer[inner]
         view = scores_mod._sort_rows(Z, labels)
         if softmax_first:
             assert view.probs is view.probs
-        part, fresh = view.take(idx), scores_mod._sort_rows(Z[idx], labels[idx])
-        np.testing.assert_array_equal(part.zs, fresh.zs)
-        np.testing.assert_array_equal(part.rank, fresh.rank)
-        got = scores_mod._true_scores(part, kind, u[idx])
-        assert got.tobytes() == scores_mod._true_scores(fresh, kind, u[idx]).tobytes()
-        assert got.tobytes() == true_label_scores(Z[idx], labels[idx], kind, u=u[idx]).tobytes()
-        for q in np.quantile(got, [0.0, 0.3, 0.9]):
-            pred = predictor_at(kind, q, 57)
-            sets = _view_sets(part, pred, u[idx])
-            np.testing.assert_array_equal(sets, _view_sets(fresh, pred, u[idx]))
-            np.testing.assert_array_equal(
-                sets.sum(axis=1), set_masks(Z[idx], pred, u=u[idx]).sum(axis=1)
-            )
+        fresh = scores_mod._sort_rows(Z[idx], labels[idx])
+        outer_part = view.take(outer)
+        if softmax_first:
+            assert outer_part.zs is outer_part.zs and outer_part.probs is outer_part.probs
+        for part in (view.take(idx), outer_part.take(inner)):
+            np.testing.assert_array_equal(part.zs, fresh.zs)
+            np.testing.assert_array_equal(part.rank, fresh.rank)
+            got = scores_mod._true_scores(part, kind, u[idx])
+            assert got.tobytes() == scores_mod._true_scores(fresh, kind, u[idx]).tobytes()
+            want = true_label_scores(Z[idx], labels[idx], kind, u=u[idx])
+            assert got.tobytes() == want.tobytes()
+            for q in np.quantile(got, [0.0, 0.3, 0.9]):
+                pred = predictor_at(kind, q, 57)
+                sets = _view_sets(part, pred, u[idx])
+                np.testing.assert_array_equal(sets, _view_sets(fresh, pred, u[idx]))
+                np.testing.assert_array_equal(
+                    sets.sum(axis=1), set_masks(Z[idx], pred, u=u[idx]).sum(axis=1)
+                )
 
     @pytest.mark.parametrize(
         "kind, n",
