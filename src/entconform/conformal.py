@@ -193,12 +193,7 @@ def conformal_quantile(scores, alpha: float) -> float:
     Duplicates count: this is the order statistic, not an interpolated
     quantile.
     """
-    return _order_statistic(np.sort(_calibration_scores(scores)), alpha)
-
-
-def _order_statistic(ordered: np.ndarray, alpha: float) -> float:
-    """:func:`conformal_quantile` of scores sorted ascending: the element at
-    index ceil((n+1)(1-alpha)) - 1, or +inf when that exceeds n - 1."""
+    ordered = np.sort(_calibration_scores(scores))
     n = ordered.size
     r = math.ceil((n + 1) * (1.0 - _check_alpha(alpha)))
     return math.inf if r > n else float(ordered[r - 1])
@@ -218,20 +213,19 @@ def _set_u(kind: ScoreKind, n: int, u) -> np.ndarray:
     return _resolve_u(n, _draw_u(kind, n, 1) if u is None else u)
 
 
-def _sorted_scores(cal, kind: ScoreKind) -> np.ndarray:
-    """The calibration scores of ``cal`` under ``kind``, sorted ascending.
+def _scores(cal, kind: ScoreKind) -> np.ndarray:
+    """The true-label scores of ``cal`` under ``kind``.
 
     A sorted view (:class:`entconform.scores._SortedRows`) scores each kind
-    once and keeps the sorted vector for every later alpha; a dataset is
-    scored in row blocks and keeps nothing.
+    once and keeps the vector for every later alpha; a dataset is scored in
+    row blocks and keeps nothing.
     """
     if not isinstance(cal, _SortedRows):
-        u = _draw_u(kind, cal.n, 0)
-        return np.sort(_calibration_scores(true_label_scores(cal.logits, cal.labels, kind, u=u)))
-    if kind not in cal.sorted_scores:
+        return true_label_scores(cal.logits, cal.labels, kind, u=_draw_u(kind, cal.n, 0))
+    if kind not in cal.scores:
         u = _resolve_u(cal.n, _draw_u(kind, cal.n, 0))
-        cal.sorted_scores[kind] = np.sort(_calibration_scores(_true_scores(cal, kind, u)))
-    return cal.sorted_scores[kind]
+        cal.scores[kind] = _true_scores(cal, kind, u)
+    return cal.scores[kind]
 
 
 def calibrate(cal: LabeledLogitDataset, kind: ScoreKind, alpha: float) -> CalibratedPredictor:
@@ -248,7 +242,7 @@ def calibrate(cal: LabeledLogitDataset, kind: ScoreKind, alpha: float) -> Calibr
     return CalibratedPredictor(
         score_kind=kind,
         alpha=alpha,
-        q_hat=_order_statistic(_sorted_scores(cal, kind), alpha),
+        q_hat=conformal_quantile(_scores(cal, kind), alpha),
         calib_n=cal.n,
         num_classes=cal.num_classes,
     )

@@ -47,7 +47,7 @@ from .tuning import (
     _gamma_kinds,
     _grid_search,
     _raps_kinds,
-    _split_view,
+    split,
 )
 
 __all__ = [
@@ -284,7 +284,10 @@ class MethodSpec:
                 kinds = _raps_kinds(self.lambda_grid, self.k_grid)
             object.__setattr__(self, "grid_kinds", kinds)
             for key in _GRIDS[self.score]:
-                object.__setattr__(self, key, tuple(getattr(self, key)))
+                # Python numbers for the report's JSON, each of its own
+                # type, so that a JSON integer lambda echoes as an integer.
+                grid = (v.item() if isinstance(v, np.generic) else v for v in getattr(self, key))
+                object.__setattr__(self, key, tuple(grid))
         elif self.kind is None or self.kind.variant != self.score:
             raise InvalidInput(f"untuned {self.score} method needs its score kind")
         if not self.name:
@@ -520,7 +523,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cells: dict = {m.name: {alpha: [] for alpha in cfg.alphas} for m in cfg.methods}
     for seed in seeds:
         spec = SplitSpec((cfg.cal_fraction, 1.0 - cfg.cal_fraction), seed=seed)
-        for name, alpha, cell in _split_cells(*_split_view(view, spec), cfg, seed, bins):
+        for name, alpha, cell in _split_cells(*split(view, spec), cfg, seed, bins):
             cells[name][alpha].append(cell)
     return ExperimentReport(
         config=cfg.to_dict(),

@@ -221,15 +221,15 @@ class _SortedRows:
     were given, each row's 0-based rank of its label.  ``Z`` is the rows in
     label order.  The rows in rank order (:attr:`zs`) and their softmax
     (:attr:`probs`) are derived from ``Z`` and ``order`` on first use.
-    ``sorted_scores`` keeps each calibrated kind's sorted true-label scores
-    (see :func:`entconform.conformal.calibrate`), one n-vector per kind, so
-    that every alpha reads one score vector.
+    ``scores`` keeps each calibrated kind's true-label scores (see
+    :func:`entconform.conformal.calibrate`), one n-vector per kind, so that
+    every alpha reads one score vector.
     """
 
     def __init__(self, Z, order, rank=None):
         self.Z, self.order, self.rank = Z, order, rank
         self.n, self.num_classes = order.shape
-        self.sorted_scores: dict = {}
+        self.scores: dict = {}
 
     @cached_property
     def zs(self) -> np.ndarray:
@@ -256,8 +256,9 @@ class _SortedRows:
         """``rows`` in label order, and their order."""
         return self.Z[rows], self.order[rows]
 
-    def take(self, idx) -> "_GatheredRows":
-        """The view of rows ``idx`` of this one, never sorted again."""
+    def subset(self, idx) -> "_GatheredRows":
+        """The view of rows ``idx`` of this one, never sorted again; a
+        dataset's :meth:`subset` for a view."""
         return _GatheredRows(self, idx)
 
 
@@ -269,7 +270,7 @@ class _GatheredRows(_SortedRows):
     def __init__(self, parent: _SortedRows, idx: np.ndarray):
         self.parent, self.idx = parent, idx
         self.n, self.num_classes = idx.size, parent.num_classes
-        self.sorted_scores = {}
+        self.scores = {}
 
     @cached_property
     def rank(self) -> np.ndarray:

@@ -81,15 +81,11 @@ def split(data: LabeledLogitDataset, spec: SplitSpec) -> list[LabeledLogitDatase
 
     Part sizes are ``floor(n * fraction)`` with the remainder going to the
     last part; the parts are disjoint and their union is a permutation of
-    the input.
+    the input.  ``data`` may also be a sorted view of the rows
+    (:class:`entconform.scores._SortedRows`), whose parts are row gathers
+    of it, never sorted again.
     """
     return [data.subset(idx) for idx in _split_indices(data.n, spec)]
-
-
-def _split_view(view, spec: SplitSpec) -> list:
-    """The parts of :func:`split` as row gathers of the sorted view of the
-    rows to split, never sorted again."""
-    return [view.take(idx) for idx in _split_indices(view.n, spec)]
 
 
 Parameter = Union[float, tuple[float, int]]
@@ -130,11 +126,11 @@ def _grid_search(view, alphas, seed: int, kinds: dict) -> list[TuningResult]:
     one result per alpha.
 
     ``view`` is the sorted view of the rows to split, with their ranks.
-    Both parts are row gathers of it (:func:`_split_view`), dropped on
-    return.  The calibration part scores each entry once for every alpha,
-    and set sizes are counted in rank order.
+    Both parts are row gathers of it (:func:`split`), dropped on return.
+    The calibration part scores each entry once for every alpha, and set
+    sizes are counted in rank order.
     """
-    cal_part, tune_part = _split_view(view, SplitSpec(_TUNING_FRACTIONS, seed))
+    cal_part, tune_part = split(view, SplitSpec(_TUNING_FRACTIONS, seed))
     tables = [{} for _ in alphas]
     preds = [{} for _ in alphas]
     for param, kind in kinds.items():

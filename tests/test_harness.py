@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -403,14 +404,24 @@ class TestRunExperiment:
         assert sum(rows) == 300
 
     def test_splits_are_gathers_not_copies(self, tmp_path, monkeypatch):
-        # no part of a split is copied out of the dataset, so none is
-        # validated or sorted again
+        # every split, the sweep's and the grid's, goes through split on a
+        # sorted view, so no part is copied out of the dataset, validated
+        # or sorted again
+        import entconform.scores as scores_mod
+
         def refuse(*args, **kwargs):
             raise AssertionError("a part of a split was copied out of the dataset")
 
+        views = []
+        real_split = tuning_mod.split
+
+        def spied(data, spec):
+            assert isinstance(data, scores_mod._SortedRows)
+            views.append(data)
+            return real_split(data, spec)
+
         for module in (harness_mod, tuning_mod):
-            if getattr(module, "split", None) is tuning_mod.split:
-                monkeypatch.setattr(module, "split", refuse)
+            monkeypatch.setattr(module, "split", spied)
         monkeypatch.setattr(LabeledLogitDataset, "subset", refuse)
         cfg = tiny_experiment(
             tmp_path,
@@ -418,6 +429,11 @@ class TestRunExperiment:
             n_splits=3,
         )
         assert len(run_experiment(cfg).split_seeds) == 3
+        # per seed, a split of the one sorted input, then the grid's split
+        # of its calibration part
+        assert len(views) == 6
+        assert all(v is views[0] for v in views[0::2])
+        assert all(isinstance(v, scores_mod._GatheredRows) for v in views[1::2])
 
     def test_avg_size_non_increasing_in_alpha(self, tmp_path):
         alphas = tuple(round(0.02 * i, 2) for i in range(1, 8))
@@ -542,3 +558,22 @@ class TestSweep:
         assert (out_a / "plotdata.csv").read_bytes() == (out_b / "plotdata.csv").read_bytes()
         report = json.loads((out_a / "report.json").read_text())
         assert set(report) == {"aggregates", "per_split", "provenance"}
+
+    def test_numpy_grid_writes_the_report(self, tmp_path):
+        # a grid given as a numpy array echoes in the report's config as the
+        # same grid given as a list does, each entry of its own type
+        cfg = tiny_experiment(tmp_path, n=300, alphas=(0.2,), n_splits=1)
+
+        def sweep(method, out):
+            run_sweep(dataclasses.replace(cfg, methods=(method,)), str(tmp_path / out))
+            return (tmp_path / out / "report.json").read_bytes()
+
+        grids = {"lambda_grid": [0.001, 0.01], "k_grid": [1, 2]}
+        from_lists = sweep(MethodSpec("raps", tune=True, **grids), "lists")
+        arrays = {key: np.array(grid) for key, grid in grids.items()}
+        assert sweep(MethodSpec("raps", tune=True, **arrays), "arrays") == from_lists
+        config = json.loads(from_lists)["provenance"]["config"]["methods"][0]
+        assert config["lambda_grid"] == [0.001, 0.01] and config["k_grid"] == [1, 2]
+        whole = MethodSpec("raps", tune=True, lambda_grid=np.array([0, 1])).to_dict()
+        assert whole["lambda_grid"] == [0, 1]
+        assert [type(v) for v in whole["lambda_grid"]] == [int, int]

@@ -379,10 +379,10 @@ class TestVectorizedAgainstScalar:
         if softmax_first:
             assert view.probs is view.probs
         fresh = scores_mod._sort_rows(Z[idx], labels[idx])
-        outer_part = view.take(outer)
+        outer_part = view.subset(outer)
         if softmax_first:
             assert outer_part.zs is outer_part.zs and outer_part.probs is outer_part.probs
-        for part in (view.take(idx), outer_part.take(inner)):
+        for part in (view.subset(idx), outer_part.subset(inner)):
             np.testing.assert_array_equal(part.zs, fresh.zs)
             np.testing.assert_array_equal(part.rank, fresh.rank)
             got = scores_mod._true_scores(part, kind, u[idx])

@@ -16,6 +16,7 @@ from entconform import (
     tune_gamma,
     tune_raps,
 )
+from entconform import scores
 from entconform.tuning import DEFAULT_GAMMA_GRID, DEFAULT_K_GRID, DEFAULT_LAMBDA_GRID
 
 from oracles import delta_norm, gap_vector, order_statistic
@@ -69,6 +70,23 @@ class TestSplit:
         rng = np.random.default_rng(5)
         with pytest.raises(InsufficientData):
             split(random_dataset(rng, n=2), SplitSpec((0.3, 0.3, 0.4), seed=0))
+
+    def test_view_parts_match_dataset_parts(self):
+        # a sorted view splits as its dataset does: each part is a gather
+        # of the view holding the dataset part's rows, in order, with each
+        # row's label rank
+        rng = np.random.default_rng(6)
+        logits = np.concatenate([rng.normal(size=(20, 5)), rng.integers(0, 3, (17, 5))])
+        data = LabeledLogitDataset(logits, rng.integers(0, 5, 37))
+        spec = SplitSpec((0.3, 0.3, 0.4), seed=9)
+        parts = split(data, spec)
+        gathers = split(scores._sort_rows(data.logits, data.labels), spec)
+        assert [g.n for g in gathers] == [p.n for p in parts] == [11, 11, 15]
+        for part, gather in zip(parts, gathers):
+            assert isinstance(gather, scores._SortedRows)
+            np.testing.assert_array_equal(gather._label_order(slice(None))[0], part.logits)
+            ranks = [len(gap_vector(z, y)) for z, y in zip(part.logits, part.labels)]
+            np.testing.assert_array_equal(gather.rank, ranks)
 
 
 def gamma_toy_dataset():
