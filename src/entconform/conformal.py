@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import _as_logit_rows, _entmax_bisect_batch, _sparsemax_batch
+from .activations import _as_logit_rows, _entmax_batch, _sparsemax_batch
 from .errors import (
     DimensionMismatch,
     EmptyCalibration,
@@ -300,20 +300,15 @@ def predict_sets(Z, pred: CalibratedPredictor) -> list[PredictionSet]:
     return [PredictionSet.from_mask(row) for row in set_masks(Z, pred)]
 
 
-_SUPPORT_BISECT_TOL = 1e-16
-
-
 def support_sets_via_entmax(Z, beta: float, gamma: float) -> list[PredictionSet]:
     """Supports of ``gamma-entmax(beta * Z)``, row by row.
 
-    Computed through the activation (closed form at gamma = 2, bisection
-    otherwise), never through the score inequality, so this is an
-    independent route to the same sets as :func:`predict_sets` with the
-    matching rank-gap kind and ``q_hat = delta / beta``.  The bisection
-    tolerance is tighter than :func:`entconform.activations.entmax`'s
-    because this function exists to adjudicate set membership: finer than
-    the spacing of floats near 1, so a row runs until its bracket stops
-    moving.  A ``beta`` for which ``beta * Z`` overflows raises
+    Computed through the activation (closed form at gamma = 2, the same
+    Newton threshold as :func:`entconform.activations.entmax` otherwise,
+    run until a step no longer raises it), never through the score
+    inequality, so this is an independent route to the same sets as
+    :func:`predict_sets` with the matching rank-gap kind and ``q_hat =
+    delta / beta``.  A ``beta`` for which ``beta * Z`` overflows raises
     :class:`InvalidInput`.
     """
     Z = _as_logit_rows(Z)
@@ -330,5 +325,5 @@ def support_sets_via_entmax(Z, beta: float, gamma: float) -> list[PredictionSet]
         probs, _ = _sparsemax_batch(Zb)
         masks = probs > 0.0
     else:
-        _, _, masks = _entmax_bisect_batch(Zb, gamma, _SUPPORT_BISECT_TOL)
+        _, masks = _entmax_batch(Zb, gamma)
     return [PredictionSet.from_mask(row) for row in masks]

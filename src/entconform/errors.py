@@ -63,7 +63,7 @@ class InconsistentWidth(ParseError):
 
 
 class NonConvergence(EntconformError):
-    """The bisection failed to normalize; indicates a bracketing bug."""
+    """The entmax threshold failed to normalize within the iteration cap."""
 
 
 class IoError(EntconformError):

@@ -248,9 +248,14 @@ def read_json_object(path: str) -> dict:
     return doc
 
 
-# The grids each tunable score searches; no other method takes a grid.
+# The grids each tunable score searches, and their defaults; no other method
+# takes a grid.
 _GRIDS = {"entmax": ("gamma_grid",), "raps": ("lambda_grid", "k_grid")}
-_GRID_KEYS = ("gamma_grid", "lambda_grid", "k_grid")
+_DEFAULT_GRIDS = {
+    "gamma_grid": DEFAULT_GAMMA_GRID,
+    "lambda_grid": DEFAULT_LAMBDA_GRID,
+    "k_grid": DEFAULT_K_GRID,
+}
 
 
 @dataclass(frozen=True)
@@ -260,15 +265,17 @@ class MethodSpec:
     ``kind`` is the score kind of an untuned method and None for a tuned
     one, whose kind comes from the grid search of every cell over
     ``grid_kinds``, its checked ``{param: ScoreKind}`` grid (None untuned).
+    Only a tuned method takes grids, and only those its score searches; a
+    grid it searches but is not given is the default one.
     """
 
     score: str
     name: str = ""
     kind: Optional[ScoreKind] = None
     tune: bool = False
-    gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
-    k_grid: tuple[int, ...] = DEFAULT_K_GRID
+    gamma_grid: Optional[tuple[float, ...]] = None
+    lambda_grid: Optional[tuple[float, ...]] = None
+    k_grid: Optional[tuple[int, ...]] = None
     grid_kinds: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -278,20 +285,26 @@ class MethodSpec:
                 raise InvalidInput(f"{self.score} has nothing to tune")
             if self.kind is not None:
                 raise InvalidInput("a tuned method takes no fixed score kind")
+            given = {key: getattr(self, key) for key in _GRIDS[self.score]}
+            grids = {key: _DEFAULT_GRIDS[key] if g is None else g for key, g in given.items()}
             if self.score == "entmax":
-                kinds = _gamma_kinds(self.gamma_grid)
+                kinds = _gamma_kinds(grids["gamma_grid"])
             else:
-                kinds = _raps_kinds(self.lambda_grid, self.k_grid)
+                kinds = _raps_kinds(grids["lambda_grid"], grids["k_grid"])
             object.__setattr__(self, "grid_kinds", kinds)
-            for key in _GRIDS[self.score]:
+            for key, grid in grids.items():
                 # Python numbers for the report's JSON, each of its own
                 # type, so that a JSON integer lambda echoes as an integer.
-                grid = (v.item() if isinstance(v, np.generic) else v for v in getattr(self, key))
+                grid = (v.item() if isinstance(v, np.generic) else v for v in grid)
                 object.__setattr__(self, key, tuple(grid))
         elif self.kind is None or self.kind.variant != self.score:
             raise InvalidInput(f"untuned {self.score} method needs its score kind")
         if not self.name:
             object.__setattr__(self, "name", self._default_name())
+        unsearched = set(_DEFAULT_GRIDS) - set(_GRIDS[self.score] if self.tune else ())
+        stray = sorted(k for k in unsearched if getattr(self, k) is not None)
+        if stray:
+            raise InvalidInput(f"method {self.name!r} does not search {stray}")
 
     def _default_name(self) -> str:
         if self.score == "entmax":
@@ -301,28 +314,24 @@ class MethodSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "MethodSpec":
         """Method options (name, tune, grids) plus a score kind's fields,
-        of which a tuned method gives only ``score``.  Only a tuned method
-        takes grids, and only those its score searches."""
+        of which a tuned method gives only ``score``."""
         if not isinstance(doc, dict):
             raise InvalidInput(f"a method entry must be a JSON object, got {doc!r}")
         if "score" not in doc:
             raise InvalidInput("method entry is missing 'score'")
-        options = {k: v for k, v in doc.items() if k in ("name", "tune", *_GRID_KEYS)}
+        options = {k: v for k, v in doc.items() if k in ("name", "tune", *_DEFAULT_GRIDS)}
         kind_doc = {k: v for k, v in doc.items() if k not in options}
+        nulls = [k for k in _DEFAULT_GRIDS if k in options and options[k] is None]
+        if nulls:
+            raise InvalidInput(f"method grids must be lists of numbers, got null {nulls}")
         if options.get("tune") is True:
             if set(kind_doc) != {"score"}:
                 raise InvalidInput(
                     f"a tuned method takes no {sorted(set(kind_doc) - {'score'})}"
                 )
-            method = cls(score=doc["score"], **options)
-        else:
-            kind = ScoreKind.from_dict(kind_doc)
-            method = cls(score=kind.variant, kind=kind, **options)
-        searched = _GRIDS[method.score] if method.tune else ()
-        stray = sorted(set(options) & set(_GRID_KEYS) - set(searched))
-        if stray:
-            raise InvalidInput(f"method {method.name!r} does not search {stray}")
-        return method
+            return cls(score=doc["score"], **options)
+        kind = ScoreKind.from_dict(kind_doc)
+        return cls(score=kind.variant, kind=kind, **options)
 
     def to_dict(self) -> dict:
         if not self.tune:

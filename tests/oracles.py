@@ -97,11 +97,15 @@ def delta_norm(gaps: np.ndarray, delta: float) -> float:
 
 
 def entmax_bisect_every_iteration(Z, gamma: float, tol: float, max_iters: int = 100):
-    """The threshold bisection as it ran before rows stopped on a frozen
-    bracket: every row halves until |sum - 1| <= tol or ``max_iters`` is
-    spent, even after its midpoint has rounded onto an end of the bracket.
-    It keeps the package's shifted bracket [-1, 0] and its support cut, so
-    its ``(probs, tau, support)`` must equal the package's bit for bit.
+    """gamma-entmax by threshold bisection (Peters, Niculae & Martins 2019),
+    an independent reference for the package's Newton threshold: every row
+    halves the bracket [-1, 0] of the shifted scores until |sum - 1| <= tol
+    or ``max_iters`` is spent, even after its midpoint has rounded onto an
+    end of the bracket.  With ``tol=0.0`` and enough halvings to reach the
+    smallest subnormal (``max_iters=1100``), every row runs to the point
+    where its bracket no longer moves.  It keeps the package's support cut,
+    so its supports must equal the package's exactly and its probabilities
+    within round-off.  Returns ``(probs, tau, support)``.
     """
     delta = 1.0 / (gamma - 1.0)
     X = (gamma - 1.0) * np.asarray(Z, dtype=np.float64)

@@ -5,12 +5,7 @@ import pytest
 
 from entconform import InvalidGamma, InvalidInput, entmax
 
-from entconform.activations import (
-    _BISECT_TOL,
-    _entmax_bisect_batch,
-    _softmax_rows,
-    _sparsemax_batch,
-)
+from entconform.activations import _entmax_batch, _softmax_rows, _sparsemax_batch
 
 from oracles import (
     entmax_bisect_every_iteration,
@@ -169,19 +164,28 @@ class TestEntmax:
             k = rng.integers(2, 10)
             z = rng.uniform(-5.0, 5.0, size=k)
             gamma = rng.choice([1.2, 1.5, 1.8])
-            probs, _, support = _entmax_bisect_batch(z[None], gamma, _BISECT_TOL)
+            probs, support = _entmax_batch(z[None], gamma)
             np.testing.assert_array_equal(probs > 0.0, support)
             np.testing.assert_array_equal(probs[0], one_row(z, gamma))
 
 
-class TestBisectionStop:
-    """A row stops once a halving leaves its bracket unchanged.  Every later
-    halving would repeat the same midpoint and sums, so stopping there must
-    change no bit against running each row to the tolerance or the cap."""
+class TestNewtonThreshold:
+    """Newton's method from t = -1 rises to the threshold and stops on the
+    first step that no longer raises it, so it lands where a bisection run
+    to convergence lands: the same supports, the probabilities within a
+    few units of round-off."""
 
-    @pytest.mark.parametrize("tol", [1e-9, 1e-16], ids=["entmax", "support"])
+    @staticmethod
+    def assert_matches_converged_bisection(Z, gamma):
+        probs, support = _entmax_batch(Z, gamma)
+        want_probs, _, want_support = entmax_bisect_every_iteration(
+            Z, gamma, tol=0.0, max_iters=1100
+        )
+        np.testing.assert_array_equal(support, want_support)
+        np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("gamma", [1.1, 1.5, 1.9])
-    def test_matches_every_iteration_bit_for_bit(self, gamma, tol):
+    def test_matches_converged_bisection(self, gamma):
         rng = np.random.default_rng(int(gamma * 10))
         for k in (2, 10, 57, 300):
             draws = (
@@ -191,10 +195,34 @@ class TestBisectionStop:
                 make_task(32, num_classes=k, seed=k).logits * 4.0,
             )
             for Z in draws:
-                got = _entmax_bisect_batch(Z, gamma, tol)
-                want = entmax_bisect_every_iteration(Z, gamma, tol)
-                for g, w in zip(got, want):
-                    assert g.tobytes() == w.tobytes()
+                self.assert_matches_converged_bisection(Z, gamma)
+
+    @pytest.mark.parametrize("gamma", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize(
+        "z", [np.zeros(1000), np.array([3e16, 1.0, 0.0])], ids=["all-tied", "huge-top"]
+    )
+    def test_matches_converged_bisection_on_extreme_rows(self, z, gamma):
+        # every label tied, and a top score so far ahead that t = -1 is the root
+        self.assert_matches_converged_bisection(z[None], gamma)
+
+    @pytest.mark.parametrize("gamma", [1.01, 1.5, 1.9, 1.99, 1.999999])
+    def test_converges_well_within_the_iteration_cap(self, gamma, monkeypatch):
+        # rows at every spacing, magnitude and offset settle within 30 steps
+        # (at most 14 on these rows); a row cut short by the cap would raise
+        # or give other bits than the full cap gives
+        batches = []
+        for k in (2, 10, 1000, 10_000):
+            j = np.arange(k, dtype=float)
+            rows = []
+            for spacing in (j, np.expm1(j * 10.0 / k), np.sqrt(j), np.log1p(j), j * 10 // k):
+                for scale in (1e-3, 1.0, 1e3, 1e6):
+                    z = -scale * spacing / spacing.max()
+                    rows += [z, z + 1e6]
+            batches.append(np.array(rows))
+        full = [_entmax_batch(Z, gamma)[0] for Z in batches]
+        monkeypatch.setattr("entconform.activations._MAX_ITERS", 30)
+        for Z, want in zip(batches, full):
+            assert _entmax_batch(Z, gamma)[0].tobytes() == want.tobytes()
 
 
 class TestBatchRows:

@@ -392,8 +392,10 @@ class TestSweepCommand:
             ((2, "gamma"), 1.5),
             ((2, "gamma_grid"), 1.5),
             ((2, "gamma_grid"), ["x"]),
+            ((2, "gamma_grid"), None),
             ((2, "k_grid"), [1]),
             (("methods",), [{"score": "sparsemax", "gamma_grid": [1.5]}]),
+            (("methods",), [{"score": "sparsemax", "gamma_grid": None}]),
             (("methods",), [{"score": "raps", "tune": True, "k_grid": [1], "gamma_grid": [1.5]}]),
             ((0, "name"), 7),
             (("n_splits",), "2"),
@@ -413,8 +415,8 @@ class TestSweepCommand:
         ids=[
             "gamma-str", "gamma-bool", "k-reg-str", "lambda-list", "randomized-str",
             "rng-seed-real", "foreign-gamma", "tune-str", "tuned-with-gamma",
-            "grid-scalar", "grid-str", "tuned-entmax-k-grid", "untuned-grid",
-            "tuned-raps-gamma-grid", "name-int", "n-splits-str", "n-splits-bool",
+            "grid-scalar", "grid-str", "grid-null", "tuned-entmax-k-grid", "untuned-grid",
+            "untuned-null-grid", "tuned-raps-gamma-grid", "name-int", "n-splits-str", "n-splits-bool",
             "alphas-scalar", "alpha-str", "cal-fraction-str", "base-seed-real",
             "methods-object", "method-int", "input-path-int", "bins-scalar",
             "bin-edge-str", "bin-single-edge", "bin-edge-real",

@@ -16,6 +16,7 @@ from entconform import (
     LabelOutOfRange,
     MethodSpec,
     ParseError,
+    RapsParams,
     ScoreKind,
     SplitSpec,
     calibrate,
@@ -285,6 +286,29 @@ class TestConfig:
         method = MethodSpec.from_dict({"score": "raps", "tune": True, "k_grid": [1, 2]})
         assert method.k_grid == (1, 2) and method.lambda_grid == tuning_mod.DEFAULT_LAMBDA_GRID
         assert method == MethodSpec("raps", tune=True, k_grid=(1, 2))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MethodSpec("entmax", tune=True, k_grid=(0,)),
+            lambda: MethodSpec("raps", tune=True, gamma_grid=(1.5,)),
+            lambda: MethodSpec("sparsemax", kind=ScoreKind.sparsemax(), gamma_grid=(1.2,)),
+            lambda: MethodSpec("raps", kind=ScoreKind.raps(RapsParams(0.01, 2)), k_grid=(1,)),
+        ],
+        ids=["tuned-entmax-k-grid", "tuned-raps-gamma-grid", "untuned-gamma-grid", "untuned-k-grid"],
+    )
+    def test_python_method_with_a_grid_it_does_not_search_rejected(self, build):
+        # the same grids in a sweep config exit 2, so the Python route must
+        # reject them too
+        with pytest.raises(InvalidInput, match="does not search"):
+            build()
+
+    def test_only_searched_grids_are_filled(self):
+        entmax = MethodSpec("entmax", tune=True)
+        assert entmax.gamma_grid == tuning_mod.DEFAULT_GAMMA_GRID
+        assert entmax.lambda_grid is None and entmax.k_grid is None
+        fixed = MethodSpec("sparsemax", kind=ScoreKind.sparsemax())
+        assert (fixed.gamma_grid, fixed.lambda_grid, fixed.k_grid) == (None, None, None)
 
 
 def tiny_experiment(tmp_path, n=200, methods=None, alphas=(0.1, 0.2), n_splits=2):
