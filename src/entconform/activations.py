@@ -60,22 +60,24 @@ def _softmax_rows(Z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _sparsemax_batch(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sparsemax_batch(Z: np.ndarray) -> np.ndarray:
     """Row-wise simplex projection via the sort-and-threshold algorithm.
 
-    Returns ``(probs, tau)``.  Each row: sort descending, find the largest
-    j with ``1 + j*z_(j) > sum_{k<=j} z_(k)``, set
-    ``tau = (sum of the top j entries - 1) / j`` and clip ``z - tau`` at 0.
+    Works on the shifted scores ``x = z - max(z)``, as :func:`_softmax_rows`
+    and :func:`_entmax_batch` do, so that no sum rounds away the 1 of the
+    threshold test at large magnitudes.  Each row: sort descending, find
+    the largest j with ``1 + j*x_(j) > sum_{k<=j} x_(k)``, set ``tau =
+    (sum of the top j entries - 1) / j`` and clip ``x - tau`` at 0.
     """
     n, k = Z.shape
-    Zs = -np.sort(-Z, axis=1)
-    cssv = np.cumsum(Zs, axis=1)
+    X = Z - Z.max(axis=1, keepdims=True)
+    Xs = -np.sort(-X, axis=1)
+    cssv = np.cumsum(Xs, axis=1)
     idx = np.arange(1, k + 1, dtype=np.float64)
-    keep = 1.0 + idx * Zs > cssv
+    keep = 1.0 + idx * Xs > cssv
     ks = np.count_nonzero(keep, axis=1)
     tau = (cssv[np.arange(n), ks - 1] - 1.0) / ks
-    probs = np.maximum(Z - tau[:, None], 0.0)
-    return probs, tau
+    return np.maximum(X - tau[:, None], 0.0)
 
 
 def _entmax_batch(Z: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -146,5 +148,5 @@ def entmax(Z, gamma: float) -> np.ndarray:
     if gamma == 1.0:
         return _softmax_rows(Z)
     if gamma == 2.0:
-        return _sparsemax_batch(Z)[0]
+        return _sparsemax_batch(Z)
     return _entmax_batch(Z, gamma)[0]

@@ -322,8 +322,7 @@ def support_sets_via_entmax(Z, beta: float, gamma: float) -> list[PredictionSet]
     if not np.all(np.isfinite(Zb)):
         raise InvalidInput(f"beta * Z is not finite for beta = {beta}")
     if gamma == 2.0:
-        probs, _ = _sparsemax_batch(Zb)
-        masks = probs > 0.0
+        masks = _sparsemax_batch(Zb) > 0.0
     else:
         _, masks = _entmax_batch(Zb, gamma)
     return [PredictionSet.from_mask(row) for row in masks]

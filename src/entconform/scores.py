@@ -197,8 +197,9 @@ def _as_labels(labels) -> np.ndarray:
 # needs only its size, found by a binary search over the ranks at O(K) per
 # probe: O(K log K) per row in all (see :func:`_entmax_prefix`).
 #
-# The sort is kept in a :class:`_SortedRows` view.  A sweep sorts its input
-# once; every part of every split is a row gather of that view, and every
+# The sort is kept in a :class:`_SortedRows` view: the sort's arrays plus the
+# rows the view covers.  A sweep sorts its input once; every part of every
+# split, a tuning part too, is row indices into that one sort, and every
 # method, alpha and grid point is scored from it.  The public functions
 # below, and the sets of
 # :func:`entconform.conformal.set_masks`, sort one row block at a time and
@@ -214,21 +215,24 @@ def _row_blocks(n: int, k: int):
 
 
 class _SortedRows:
-    """Rows sorted once, for every score and set read from them.
+    """Rows ``idx`` of one sort, for every score and set read from them.
 
-    ``order`` holds each row's stable descending order, in the narrowest
-    integer type that holds K (int16 up to 32767); ``rank``, when labels
-    were given, each row's 0-based rank of its label.  ``Z`` is the rows in
-    label order.  The rows in rank order (:attr:`zs`) and their softmax
-    (:attr:`probs`) are derived from ``Z`` and ``order`` on first use.
-    ``scores`` keeps each calibrated kind's true-label scores (see
+    ``Z`` (the rows in label order), ``order`` (each row's stable
+    descending order, in the narrowest integer type that holds K: int16
+    up to 32767) and ``all_ranks`` (each row's 0-based rank of its label,
+    when labels were given) are the arrays of the one :func:`_sort_rows`
+    call, shared by every view of it; ``rank`` holds the ranks of this
+    view's rows.  The rows in rank order (:attr:`zs`) and their softmax
+    (:attr:`probs`) are derived on first use.  ``scores`` keeps each
+    calibrated kind's true-label scores (see
     :func:`entconform.conformal.calibrate`), one n-vector per kind, so that
     every alpha reads one score vector.
     """
 
-    def __init__(self, Z, order, rank=None):
-        self.Z, self.order, self.rank = Z, order, rank
-        self.n, self.num_classes = order.shape
+    def __init__(self, Z, order, all_ranks, idx):
+        self.Z, self.order, self.all_ranks, self.idx = Z, order, all_ranks, idx
+        self.rank = None if all_ranks is None else all_ranks[idx]
+        self.n, self.num_classes = idx.size, order.shape[1]
         self.scores: dict = {}
 
     @cached_property
@@ -248,41 +252,20 @@ class _SortedRows:
         in row blocks."""
         out = np.empty((self.n, self.num_classes))
         for rows in _row_blocks(self.n, self.num_classes):
-            Z, order = self._label_order(rows)
-            out[rows] = np.take_along_axis(rowwise(Z), order, axis=1)
+            at = self.idx[rows]
+            out[rows] = np.take_along_axis(rowwise(self.Z[at]), self.order[at], axis=1)
         return out
 
-    def _label_order(self, rows):
-        """``rows`` in label order, and their order."""
-        return self.Z[rows], self.order[rows]
-
-    def subset(self, idx) -> "_GatheredRows":
-        """The view of rows ``idx`` of this one, never sorted again; a
-        dataset's :meth:`subset` for a view."""
-        return _GatheredRows(self, idx)
-
-
-class _GatheredRows(_SortedRows):
-    """Rows ``idx`` of a view, which may itself be a gather.  ``rank`` is
-    gathered from it on first use, and ``zs`` and ``probs`` are derived
-    from the gathered rows, so a part holds only what its scores read."""
-
-    def __init__(self, parent: _SortedRows, idx: np.ndarray):
-        self.parent, self.idx = parent, idx
-        self.n, self.num_classes = idx.size, parent.num_classes
-        self.scores = {}
-
-    @cached_property
-    def rank(self) -> np.ndarray:
-        return self.parent.rank[self.idx]
-
-    def _label_order(self, rows):
-        return self.parent._label_order(self.idx[rows])
+    def subset(self, idx) -> "_SortedRows":
+        """The view of rows ``idx`` of this one, indexing the same sort and
+        never sorted again; a dataset's :meth:`subset` for a view."""
+        return _SortedRows(self.Z, self.order, self.all_ranks, self.idx[idx])
 
 
 def _sort_rows(Z: np.ndarray, labels=None) -> _SortedRows:
-    """The one sort of every score: ``Z``'s view, sorted in row blocks with
-    ``descending_order`` so that the sort's temporaries stay block-sized."""
+    """The one sort of every score: the view of all of ``Z``'s rows, sorted
+    in row blocks with ``descending_order`` so that the sort's temporaries
+    stay block-sized."""
     n, k = Z.shape
     order = np.empty((n, k), dtype=np.int16 if k <= np.iinfo(np.int16).max else np.int32)
     rank = None if labels is None else np.empty(n, dtype=np.intp)
@@ -290,7 +273,7 @@ def _sort_rows(Z: np.ndarray, labels=None) -> _SortedRows:
         order[rows] = descending_order(Z[rows])
         if rank is not None:
             rank[rows] = np.argmax(order[rows] == labels[rows, None], axis=1)
-    return _SortedRows(Z, order, rank)
+    return _SortedRows(Z, order, rank, np.arange(n))
 
 
 def _sparsemax_all_sorted(zs: np.ndarray) -> np.ndarray:
@@ -324,11 +307,10 @@ def _entmax_at(zs: np.ndarray, r: np.ndarray, delta: float) -> np.ndarray:
 
 def _entmax_all_sorted(zs: np.ndarray, delta: float) -> np.ndarray:
     out = np.empty_like(zs)
-    k = zs.shape[1]
-    block = max(1, _CHUNK_CELLS // (k * k))
+    n, k = zs.shape
     ranks = np.arange(k)[None, :]
-    for start in range(0, zs.shape[0], block):
-        out[start : start + block] = _entmax_at(zs[start : start + block], ranks, delta)
+    for rows in _row_blocks(n, k * k):
+        out[rows] = _entmax_at(zs[rows], ranks, delta)
     return out
 
 

@@ -82,8 +82,8 @@ def split(data: LabeledLogitDataset, spec: SplitSpec) -> list[LabeledLogitDatase
     Part sizes are ``floor(n * fraction)`` with the remainder going to the
     last part; the parts are disjoint and their union is a permutation of
     the input.  ``data`` may also be a sorted view of the rows
-    (:class:`entconform.scores._SortedRows`), whose parts are row gathers
-    of it, never sorted again.
+    (:class:`entconform.scores._SortedRows`), whose parts index the same
+    sort, never sorted again.
     """
     return [data.subset(idx) for idx in _split_indices(data.n, spec)]
 
@@ -126,21 +126,18 @@ def _grid_search(view, alphas, seed: int, kinds: dict) -> list[TuningResult]:
     one result per alpha.
 
     ``view`` is the sorted view of the rows to split, with their ranks.
-    Both parts are row gathers of it (:func:`split`), dropped on return.
-    The calibration part scores each entry once for every alpha, and set
-    sizes are counted in rank order.
+    Both parts are row indices into its sort (:func:`split`), dropped on
+    return.  The calibration part scores each entry once for every alpha,
+    and set sizes are counted in rank order.
     """
     cal_part, tune_part = split(view, SplitSpec(_TUNING_FRACTIONS, seed))
-    tables = [{} for _ in alphas]
-    preds = [{} for _ in alphas]
-    for param, kind in kinds.items():
-        for i, alpha in enumerate(alphas):
-            preds[i][param] = calibrate(cal_part, kind, alpha)
-            tables[i][param] = float(_view_sets(tune_part, preds[i][param]).sum(axis=1).mean())
     results = []
-    for table, pred in zip(tables, preds):
+    for alpha in alphas:
+        preds = {param: calibrate(cal_part, kind, alpha) for param, kind in kinds.items()}
+        table = {p: float(_view_sets(tune_part, pred).sum(axis=1).mean())
+                 for p, pred in preds.items()}
         chosen = min(table, key=lambda p: (table[p], p))
-        results.append(TuningResult(chosen, table[chosen], table, pred[chosen]))
+        results.append(TuningResult(chosen, table[chosen], table, preds[chosen]))
     return results
 
 

@@ -60,8 +60,6 @@ class TestSparsemax:
     def test_worked_example(self):
         p = one_row(Z5, 2.0)
         np.testing.assert_allclose(p, [0.8, 0.0, 0.0, 0.2, 0.0], atol=1e-12)
-        _, tau = _sparsemax_batch(Z5[None])
-        assert abs(tau[0] - 0.2) < 1e-12
         np.testing.assert_array_equal(np.flatnonzero(p > 0.0), [0, 3])
 
     def test_all_equal_gives_uniform(self):
@@ -104,7 +102,7 @@ class TestEntmax:
         for _ in range(100):
             z = rng.uniform(-3.0, 3.0, size=rng.integers(2, 9))
             np.testing.assert_allclose(
-                one_row(z, 2.0), _sparsemax_batch(z[None])[0][0], atol=1e-6
+                one_row(z, 2.0), _sparsemax_batch(z[None])[0], atol=1e-6
             )
 
     def test_gamma_one_delegates_to_softmax(self):

@@ -98,21 +98,27 @@ class TestTransform:
         assert out == ""
 
     @pytest.mark.parametrize(
-        "stdin_text, beta, row",
+        "gamma, stdin_text, beta, row",
         [
-            ("z0,z1,z2\n3e16,1,0\n", "1.0", "1.000000,0.000000,0.000000"),
-            ("z0,z1\n1,0\n", "1e17", "1.000000,0.000000"),
+            ("1.5", "z0,z1,z2\n3e16,1,0\n", "1.0", "1.000000,0.000000,0.000000"),
+            ("1.5", "z0,z1\n1,0\n", "1e17", "1.000000,0.000000"),
+            ("2", "z0,z1,z2\n3e16,1,0\n", "1.0", "1.000000,0.000000,0.000000"),
+            ("2", "z0,z1,z2\n1e16,1e16,0\n", "1.0", "0.500000,0.500000,0.000000"),
+            ("2", "z0,z1\n1,0\n", "1e17", "1.000000,0.000000"),
         ],
-        ids=["large-logit", "large-beta"],
+        ids=["large-logit", "large-beta", "sparsemax-large-logit", "sparsemax-large-tied",
+             "sparsemax-large-beta"],
     )
-    def test_scaled_maximum_beyond_2_to_53(self, monkeypatch, capsys, stdin_text, beta, row):
+    def test_scaled_maximum_beyond_2_to_53(self, monkeypatch, capsys, gamma, stdin_text, beta, row):
         # (gamma-1) * max(z) - 1 rounds back to (gamma-1) * max(z) here, so
-        # a bracket on the unshifted scores would be empty
-        code, out = self.run(
-            ["transform", "--gamma", "1.5", "--beta", beta], stdin_text, monkeypatch, capsys
-        )
+        # a threshold found on the unshifted scores is lost; sparsemax's
+        # sums printed zeros and warned of a division by zero
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        code = main(["transform", "--gamma", gamma, "--beta", beta])
+        out, err = capsys.readouterr()
         assert code == 0
         assert out.strip().splitlines()[1] == row
+        assert err == ""
 
 
 # Inputs that ended in a traceback (exit 1) before the parser mapped them

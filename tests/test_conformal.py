@@ -355,6 +355,15 @@ class TestSupportSetViaEntmax:
             with pytest.raises(InvalidInput):
                 support_sets_via_entmax([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5]], beta, gamma)
 
+    @pytest.mark.parametrize(
+        "z, labels", [([3e16, 1.0, 0.0], (0,)), ([1e16, 1e16, 0.0], (0, 1))],
+        ids=["large-logit", "large-tied"],
+    )
+    def test_sparsemax_beyond_2_to_53(self, z, labels):
+        # the top label is in every support; the unshifted sums lost the
+        # 1 of the threshold test and returned an empty set
+        assert support_one(z, 1.0, 2.0).labels == labels
+
     def test_gap_sum_condition_matches_sparsemax_support(self):
         # at gamma = 2 membership is exactly "gap sum below 1/beta"
         rng = np.random.default_rng(81)

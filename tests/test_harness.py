@@ -457,7 +457,8 @@ class TestRunExperiment:
         # of its calibration part
         assert len(views) == 6
         assert all(v is views[0] for v in views[0::2])
-        assert all(isinstance(v, scores_mod._GatheredRows) for v in views[1::2])
+        # every part indexes the one sort: no part copies its arrays
+        assert all(v.Z is views[0].Z and v.order is views[0].order for v in views)
 
     def test_avg_size_non_increasing_in_alpha(self, tmp_path):
         alphas = tuple(round(0.02 * i, 2) for i in range(1, 8))
@@ -512,8 +513,8 @@ class TestRunExperiment:
                 "entconform.tuning._view_sets",
             }
             for _, view in seen:
-                # a part reads its rows through its chain of gathers
-                rows = view._label_order(slice(None))[0]
+                # a part's rows are its indices into the one sort
+                rows = view.Z[view.idx]
                 assert len(rows) == view.n
                 assert not ({tuple(r) for r in rows} & test_rows)
 

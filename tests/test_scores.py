@@ -364,10 +364,10 @@ class TestVectorizedAgainstScalar:
     )
     @pytest.mark.parametrize("softmax_first", [False, True], ids=["gathered", "softmax-first"])
     def test_gathered_view_scores_like_a_fresh_sort(self, kind, per_row_u, softmax_first):
-        # a split part is a row gather of the sweep's view, and a tuning
-        # part a gather of that gather, with the parent's softmax when it
-        # has one; their scores and sets must be those of sorting the
-        # subset afresh, bit for bit
+        # a split part is row indices into the sweep's one sort, and a
+        # tuning part's indices compose with its split part's, whether or
+        # not the view holds its softmax; their scores and sets must be
+        # those of sorting the subset afresh, bit for bit
         rng = np.random.default_rng(67)
         Z = np.concatenate([rng.normal(size=(40, 57)), rng.integers(0, 4, (40, 57))])
         labels = rng.integers(0, 57, size=80)
@@ -382,8 +382,11 @@ class TestVectorizedAgainstScalar:
         outer_part = view.subset(outer)
         if softmax_first:
             assert outer_part.zs is outer_part.zs and outer_part.probs is outer_part.probs
-        for part in (view.subset(idx), outer_part.subset(inner)):
+        composed = outer_part.subset(inner)
+        np.testing.assert_array_equal(composed.idx, view.subset(idx).idx)
+        for part in (view.subset(idx), composed):
             np.testing.assert_array_equal(part.zs, fresh.zs)
+            assert part.probs.tobytes() == fresh.probs.tobytes()
             np.testing.assert_array_equal(part.rank, fresh.rank)
             got = scores_mod._true_scores(part, kind, u[idx])
             assert got.tobytes() == scores_mod._true_scores(fresh, kind, u[idx]).tobytes()

@@ -84,7 +84,7 @@ class TestSplit:
         assert [g.n for g in gathers] == [p.n for p in parts] == [11, 11, 15]
         for part, gather in zip(parts, gathers):
             assert isinstance(gather, scores._SortedRows)
-            np.testing.assert_array_equal(gather._label_order(slice(None))[0], part.logits)
+            np.testing.assert_array_equal(gather.Z[gather.idx], part.logits)
             ranks = [len(gap_vector(z, y)) for z, y in zip(part.logits, part.labels)]
             np.testing.assert_array_equal(gather.rank, ranks)
 
