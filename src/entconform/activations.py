@@ -22,10 +22,12 @@ from .errors import InvalidGamma, InvalidInput, NonConvergence, checked
 
 __all__ = ["descending_order", "entmax"]
 
-# Ramp arguments at or below this (relative) level count as zero when
-# extracting the support; absorbs round-off in the computed threshold
-# without masking genuinely tiny probabilities (which scale like the
-# ramp argument raised to 1/(gamma-1)).
+# Ramp arguments at or below this level count as zero when extracting the
+# support; absorbs round-off in the computed threshold without masking
+# genuinely tiny probabilities (which scale like the ramp argument raised
+# to 1/(gamma-1)).  Once the scaled scores pass about 113 in magnitude the
+# cut is 2**-50 of the largest, a few of its ulps: the round-off of the
+# shift by the row max, whatever the magnitude.
 _SUPPORT_EPS = 1e-13
 
 # Newton steps per row for 1 < gamma < 2; rows converge in far fewer.
@@ -90,8 +92,10 @@ def _entmax_batch(Z: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     contributes 1), so Newton's iterates from ``t = -1`` rise to the root
     without passing it.  A row stops once ``f(t) <= 0`` or once a step no
     longer raises t; a row still moving after ``_MAX_ITERS`` steps raises
-    :class:`NonConvergence` if ``|f(t)| > 1e-4``.  Residual mass is
-    renormalized over the support.
+    :class:`NonConvergence` if ``|f(t)| > 1e-4``.  The support is every
+    label tied at the row max and every label whose ramp ``x - t`` passes
+    ``max(_SUPPORT_EPS, 2**-50 max|(gamma-1) z|)``; residual mass is
+    renormalized over it.
 
     Returns ``(probs, support_mask)``.
     """
@@ -121,9 +125,8 @@ def _entmax_batch(Z: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
             )
 
     ramp = Xs - t[:, None]
-    eps = _SUPPORT_EPS * np.maximum(1.0, np.abs(X).max(axis=1))
-    support = ramp > eps[:, None]
-    support[np.arange(n), X.argmax(axis=1)] = True
+    eps = np.maximum(_SUPPORT_EPS, 2.0**-50 * np.abs(X).max(axis=1))
+    support = (ramp > eps[:, None]) | (Xs == 0.0)
     probs = np.where(support, np.power(np.maximum(ramp, 0.0), delta), 0.0)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs, support

@@ -194,8 +194,9 @@ def _as_labels(labels) -> np.ndarray:
 # every label's score: gap sums come from a running sum (delta = 1) or from a
 # masked gap matrix (general delta), so a full K-label score row costs
 # O(K) or O(K^2) after the O(K log K) sort.  A general-delta prediction set
-# needs only its size, found by a binary search over the ranks at O(K) per
-# probe: O(K log K) per row in all (see :func:`_entmax_prefix`).
+# needs only its size s, found by a galloping search whose probes norm only
+# the gaps of the ranks they reach: O(s log s) per row after the sort (see
+# :func:`_entmax_prefix`).
 #
 # The sort is kept in a :class:`_SortedRows` view: the sort's arrays plus the
 # rows the view covers.  A sweep sorts its input once; every part of every
@@ -298,8 +299,10 @@ def _gap_norm(gaps: np.ndarray, delta: float) -> np.ndarray:
 
 def _entmax_at(zs: np.ndarray, r: np.ndarray, delta: float) -> np.ndarray:
     """delta-norm of the gaps above the 0-based ranks ``r`` (shape (n, m) or
-    (1, m)) in the sorted rows ``zs`` (n, K); returns shape (n, m).  Every
-    gap vector has length K, zero past its rank, so both routes sum alike."""
+    (1, m)) in the sorted rows ``zs`` (n, w), w > every rank in ``r``;
+    returns shape (n, m).  Every gap vector has length w, zero past its
+    rank.  Calibration and the full rows pass all K columns, so both sum
+    alike; the rank search passes fewer (see :func:`_entmax_prefix`)."""
     zr = np.take_along_axis(zs, r, axis=1)
     above = np.arange(zs.shape[1]) < r[..., None]
     return _gap_norm(np.where(above, zs[:, None, :] - zr[..., None], 0.0), delta)
@@ -337,7 +340,10 @@ def _kernel_eps(k: int) -> float:
     ln K rounded up to 56: the slack covers second-order terms and the
     rounding of the certificate's own products.  It holds while the top
     gap is 0 or a normal number and nothing overflows, which
-    :func:`_entmax_prefix` checks through ``q``.
+    :func:`_entmax_prefix` checks through ``q``.  A probe of the first w
+    sorted columns only (w <= K) sums w terms, so its bound (w + 64) *
+    2**-52 is at most this one, and the search certifies its truncated
+    probes with the bound of the full row.
     """
     return (k + 64) * 2.0**-52
 
@@ -347,12 +353,18 @@ def _entmax_prefix(zs: np.ndarray, delta: float, q: float) -> np.ndarray:
     for bit to ``_entmax_all_sorted(zs, delta) <= q``.
 
     The exact delta-norm N(r) of the gaps above rank r never decreases in
-    r, so a row's set is a prefix of its ranks.  A binary search finds its
-    size s, probing one rank per row with the kernel, and keeps the last
-    score at most q, ``lo = score(s - 1)``, and the first above it,
-    ``hi = score(s)`` (+inf when s = K).  With eps from :func:`_kernel_eps`
-    the row is certain when ``lo (1+eps) <= q (1-eps)`` and
-    ``hi (1-eps) > q (1+eps)``: then every rank below s scores at most
+    r, so a row's set is a prefix of its ranks.  A galloping search
+    (Bentley & Yao 1976) finds its size s: each row probes ranks 1, 2, 4,
+    ... (at most K - 1) until a probe scores above q, then bisects inside
+    that bracket.  A row is probed no more once its bracket closes, and a
+    probe norms only the first w sorted columns, w the largest rank probed
+    among the rows still searching plus 1.  No row probes past rank
+    2 s - 1, so with s_max the largest size found in the block a row costs
+    O(s_max log s_max), not O(K log K).  The search keeps the last score at
+    most q, ``lo = score(s - 1)``, and the first above it, ``hi =
+    score(s)`` (+inf when s = K).  With eps from :func:`_kernel_eps` the
+    row is certain when ``lo (1+eps) <= q (1-eps)`` and ``hi (1-eps) > q
+    (1+eps)``: then every rank below s scores at most
     ``(1+eps) N(s-1) <= q`` and every rank from s on scores more than q,
     wherever the rounding of the probes led the search.  Zero scores are
     exact (the top gap is 0 exactly when the exact one is), so q = 0 is
@@ -366,16 +378,15 @@ def _entmax_prefix(zs: np.ndarray, delta: float, q: float) -> np.ndarray:
     hi = np.full(n, k, dtype=np.intp)
     s_lo = np.zeros(n)
     s_hi = np.full(n, np.inf)
-    while (searching := lo < hi).any():
-        mid = (lo + hi) // 2
-        s_mid = _entmax_at(zs, np.minimum(mid, k - 1)[:, None], delta)[:, 0]
-        inside = s_mid <= q
-        go_up = searching & inside
-        go_down = searching & ~inside
-        lo = np.where(go_up, mid + 1, lo)
-        s_lo = np.where(go_up, s_mid, s_lo)
-        hi = np.where(go_down, mid, hi)
-        s_hi = np.where(go_down, s_mid, s_hi)
+    while (live := np.flatnonzero(lo < hi)).size:
+        l, h = lo[live], hi[live]
+        # gallop while no probe has scored above q (hi is still K)
+        r = np.where(h == k, np.minimum(np.maximum(2 * l - 2, 1), k - 1), (l + h) // 2)
+        s = _entmax_at(zs[live, : r.max() + 1], r[:, None], delta)[:, 0]
+        inside = s <= q
+        up, down = live[inside], live[~inside]
+        lo[up], s_lo[up] = r[inside] + 1, s[inside]
+        hi[down], s_hi[down] = r[~inside], s[~inside]
     eps = _kernel_eps(k)
     in_range = q == 0.0 or k * 2.0**-1020 <= q <= 2.0**1000
     certain = (

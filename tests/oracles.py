@@ -127,9 +127,8 @@ def entmax_bisect_every_iteration(Z, gamma: float, tol: float, max_iters: int = 
         lo[active] = np.where(go_lo, mid, lo[active])
         hi[active] = np.where(go_lo, hi[active], mid)
     ramp = Xs - tau[:, None]
-    eps = 1e-13 * np.maximum(1.0, np.abs(X).max(axis=1))
-    support = ramp > eps[:, None]
-    support[np.arange(n), X.argmax(axis=1)] = True
+    eps = np.maximum(1e-13, 2.0**-50 * np.abs(X).max(axis=1))
+    support = (ramp > eps[:, None]) | (Xs == 0.0)
     probs = np.where(support, np.power(np.maximum(ramp, 0.0), delta), 0.0)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs, tau + xmax, support

@@ -102,17 +102,21 @@ class TestTransform:
         [
             ("1.5", "z0,z1,z2\n3e16,1,0\n", "1.0", "1.000000,0.000000,0.000000"),
             ("1.5", "z0,z1\n1,0\n", "1e17", "1.000000,0.000000"),
+            ("1.5", "z0,z1,z2\n1e16,1e16,0\n", "1.0", "0.500000,0.500000,0.000000"),
+            ("1.5", "z0,z1,z2\n2e13,19999999999999.5,19999999999995\n", "1.0",
+             "0.673993,0.326007,0.000000"),
             ("2", "z0,z1,z2\n3e16,1,0\n", "1.0", "1.000000,0.000000,0.000000"),
             ("2", "z0,z1,z2\n1e16,1e16,0\n", "1.0", "0.500000,0.500000,0.000000"),
             ("2", "z0,z1\n1,0\n", "1e17", "1.000000,0.000000"),
         ],
-        ids=["large-logit", "large-beta", "sparsemax-large-logit", "sparsemax-large-tied",
-             "sparsemax-large-beta"],
+        ids=["large-logit", "large-beta", "large-tied", "large-offset", "sparsemax-large-logit",
+             "sparsemax-large-tied", "sparsemax-large-beta"],
     )
     def test_scaled_maximum_beyond_2_to_53(self, monkeypatch, capsys, gamma, stdin_text, beta, row):
         # (gamma-1) * max(z) - 1 rounds back to (gamma-1) * max(z) here, so
         # a threshold found on the unshifted scores is lost; sparsemax's
-        # sums printed zeros and warned of a division by zero
+        # sums printed zeros and warned of a division by zero, and a
+        # support cut scaled by max|(gamma-1) z| kept only the argmax
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
         code = main(["transform", "--gamma", gamma, "--beta", beta])
         out, err = capsys.readouterr()

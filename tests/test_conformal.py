@@ -23,6 +23,7 @@ from entconform import (
     all_label_scores,
     calibrate,
     conformal_quantile,
+    entmax,
     predict_sets,
     set_masks,
     support_sets_via_entmax,
@@ -364,6 +365,21 @@ class TestSupportSetViaEntmax:
         # 1 of the threshold test and returned an empty set
         assert support_one(z, 1.0, 2.0).labels == labels
 
+    @pytest.mark.parametrize(
+        "z", [[2e13, 2e13 - 0.5, 2e13 - 5.0], [1e16, 1e16, 0.0]], ids=["offset-2e13", "tied-1e16"],
+    )
+    def test_entmax_support_at_large_magnitudes(self, z):
+        # the support cut scaled by max|(gamma-1) z| reached 1, above every
+        # ramp, so only the argmax was kept; both rows have the support of
+        # their unshifted twin and of the score route
+        z = np.array(z)
+        twin = z - z.max()
+        assert support_one(z, 1.0, 1.5).labels == (0, 1)
+        assert support_one(twin, 1.0, 1.5).labels == (0, 1)
+        pred = _entmax_predictor(1.5, 2.0, 3)  # q_hat = delta / beta
+        assert predict_one(z, pred).labels == (0, 1)
+        np.testing.assert_array_equal(entmax(z[None], 1.5), entmax(twin[None], 1.5))
+
     def test_gap_sum_condition_matches_sparsemax_support(self):
         # at gamma = 2 membership is exactly "gap sum below 1/beta"
         rng = np.random.default_rng(81)
@@ -519,6 +535,64 @@ class TestRankSearch:
                 for q_hat in (0.0, float(np.median(s)), float(s.max())):
                     masks = set_masks(Z, _entmax_predictor(gamma, q_hat, k))
                     np.testing.assert_array_equal(masks, full <= q_hat)
+
+    @pytest.mark.parametrize("gamma", [1.1, 1.5, 1.9])
+    def test_gallop_runs_off_the_end(self, gamma, monkeypatch):
+        # a finite q_hat at or above every score: every set reaches K, so
+        # each row's gallop is clamped at rank K - 1 and never brackets.
+        # Then rows of near-equal logits (every label) batched with rows of
+        # one far lead (one label): rows end at both ends of the ranks
+        rng = np.random.default_rng(int(gamma * 100))
+        kind = ScoreKind.entmax(gamma)
+        seen = _spy_full_rows(monkeypatch)
+        for k in (2, 3, 57, 300):
+            for Z in _logit_draws(rng, 20, k):
+                full = all_label_scores(Z, kind)
+                top = float(full.max())
+                for q_hat in (top, 2.0 * top + 1.0):
+                    seen.clear()
+                    masks = set_masks(Z, _entmax_predictor(gamma, q_hat, k))
+                    np.testing.assert_array_equal(masks, full <= q_hat)
+                    assert masks.all()
+                    if q_hat > top:
+                        assert seen == []
+            Z = np.empty((12, k))
+            Z[0::2] = 1e-3 * rng.normal(size=(6, k))
+            Z[1::2] = rng.normal(size=(6, k)) + 100.0 * (np.arange(k) == 0)
+            full = all_label_scores(Z, kind)
+            q_hat = 2.0 * float(full[0::2].max())
+            seen.clear()
+            masks = set_masks(Z, _entmax_predictor(gamma, q_hat, k))
+            np.testing.assert_array_equal(masks, full <= q_hat)
+            assert masks.sum(axis=1).tolist() == [k, 1] * 6
+            assert seen == []
+
+    def test_probes_read_only_the_ranks_they_reach(self, monkeypatch):
+        # every probe norms the first w sorted columns only, w at most
+        # 2 s_max + 1, and the gallop and bisection take O(log s_max)
+        # probes; a full-row fallback passes all K ranks at once and is
+        # no probe
+        task = make_task(200, 1000, seed=2)
+        pred = calibrate(
+            LabeledLogitDataset(task.logits[:100], task.labels[:100]),
+            ScoreKind.entmax(1.5), 0.1,
+        )
+        widths = []
+        kernel = scores._entmax_at
+
+        def spy(zs, r, delta):
+            if r.shape[1] == 1:
+                widths.append(zs.shape[1])
+            return kernel(zs, r, delta)
+
+        monkeypatch.setattr(scores, "_entmax_at", spy)
+        masks = set_masks(task.logits, pred)
+        np.testing.assert_array_equal(masks, all_label_scores(task.logits, pred.score_kind) <= pred.q_hat)
+        s_max = int(masks.sum(axis=1).max())
+        assert s_max < 100
+        assert widths
+        assert max(widths) <= min(1000, 2 * s_max + 1)
+        assert len(widths) <= 2 * math.ceil(math.log2(s_max + 1)) + 2
 
     def test_fed_back_calibration_rows_take_the_fallback(self, monkeypatch):
         # the row whose score set q_hat sits exactly on the threshold: no
