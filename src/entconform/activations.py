@@ -22,20 +22,17 @@ from .errors import InvalidGamma, InvalidInput, NonConvergence, checked
 
 __all__ = ["descending_order", "entmax"]
 
-# Ramp arguments at or below this level count as zero when extracting the
-# support; absorbs round-off in the computed threshold without masking
-# genuinely tiny probabilities (which scale like the ramp argument raised
-# to 1/(gamma-1)).  Once the scaled scores pass about 113 in magnitude the
-# cut is 2**-50 of the largest, a few of its ulps: the round-off of the
-# shift by the row max, whatever the magnitude.
-_SUPPORT_EPS = 1e-13
-
 # Newton steps per row for 1 < gamma < 2; rows converge in far fewer.
 _MAX_ITERS = 100
 
 
 def _as_logit_rows(Z) -> np.ndarray:
-    Z = np.asarray(Z, dtype=np.float64)
+    """``Z`` as an (n, K) float array of finite scores with K >= 2, else
+    :class:`InvalidInput`."""
+    try:
+        Z = np.asarray(Z, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise InvalidInput("scores must be a 2-D array of numbers") from err
     if Z.ndim != 2:
         raise InvalidInput(f"expected a 2-D score array, got shape {Z.shape}")
     if Z.shape[1] < 2:
@@ -69,14 +66,16 @@ def _sparsemax_batch(Z: np.ndarray) -> np.ndarray:
     and :func:`_entmax_batch` do, so that no sum rounds away the 1 of the
     threshold test at large magnitudes.  Each row: sort descending, find
     the largest j with ``1 + j*x_(j) > sum_{k<=j} x_(k)``, set ``tau =
-    (sum of the top j entries - 1) / j`` and clip ``x - tau`` at 0.
+    (sum of the top j entries - 1) / j`` and clip ``x - tau`` at 0.  A gap
+    or gap sum beyond the float range is -inf, which fails the test.
     """
     n, k = Z.shape
-    X = Z - Z.max(axis=1, keepdims=True)
-    Xs = -np.sort(-X, axis=1)
-    cssv = np.cumsum(Xs, axis=1)
-    idx = np.arange(1, k + 1, dtype=np.float64)
-    keep = 1.0 + idx * Xs > cssv
+    with np.errstate(over="ignore"):
+        X = Z - Z.max(axis=1, keepdims=True)
+        Xs = -np.sort(-X, axis=1)
+        cssv = np.cumsum(Xs, axis=1)
+        idx = np.arange(1, k + 1, dtype=np.float64)
+        keep = 1.0 + idx * Xs > cssv
     ks = np.count_nonzero(keep, axis=1)
     tau = (cssv[np.arange(n), ks - 1] - 1.0) / ks
     return np.maximum(X - tau[:, None], 0.0)
@@ -86,24 +85,22 @@ def _entmax_batch(Z: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise gamma-entmax for 1 < gamma < 2 by Newton's method on the threshold.
 
     Solves ``f(t) = sum_j relu(x_j - t) ** delta - 1 = 0``, ``delta =
-    1/(gamma-1)``, per row for the shifted scores ``x = (gamma-1) z -
-    (gamma-1) max(z)``, whose maximum is 0.  f is convex and decreasing in
-    t, and ``f(-1) >= 0`` at any magnitude of z (the top term alone
-    contributes 1), so Newton's iterates from ``t = -1`` rise to the root
-    without passing it.  A row stops once ``f(t) <= 0`` or once a step no
-    longer raises t; a row still moving after ``_MAX_ITERS`` steps raises
+    1/(gamma-1)``, per row for the shifted scores ``x = (gamma-1) (z -
+    max(z))``: the row max is subtracted first, so round-off scales with
+    the gaps and not with |z|, and the maximum is 0.  f is convex and
+    decreasing in t, and ``f(-1) >= 0`` (the top term alone contributes
+    1), so Newton's iterates from ``t = -1`` rise to the root without
+    passing it.  A row stops once ``f(t) <= 0`` or once a step no longer
+    raises t; a row still moving after ``_MAX_ITERS`` steps raises
     :class:`NonConvergence` if ``|f(t)| > 1e-4``.  The support is every
-    label tied at the row max and every label whose ramp ``x - t`` passes
-    ``max(_SUPPORT_EPS, 2**-50 max|(gamma-1) z|)``; residual mass is
-    renormalized over it.
+    label whose ramp ``x - t`` is positive and every label tied at the row
+    max; the probabilities are the ramps to the power delta, normalized.
 
     Returns ``(probs, support_mask)``.
     """
     delta = 1.0 / (gamma - 1.0)
-    X = (gamma - 1.0) * Z
-    n = X.shape[0]
-
-    Xs = X - X.max(axis=1, keepdims=True)
+    Xs = (gamma - 1.0) * (Z - Z.max(axis=1, keepdims=True))
+    n = Xs.shape[0]
     t = np.full(n, -1.0)
     live = np.arange(n)
     for _ in range(_MAX_ITERS):
@@ -125,11 +122,29 @@ def _entmax_batch(Z: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
             )
 
     ramp = Xs - t[:, None]
-    eps = np.maximum(_SUPPORT_EPS, 2.0**-50 * np.abs(X).max(axis=1))
-    support = (ramp > eps[:, None]) | (Xs == 0.0)
+    support = (ramp > 0.0) | (Xs == 0.0)
     probs = np.where(support, np.power(np.maximum(ramp, 0.0), delta), 0.0)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs, support
+
+
+def _tempered(Z: np.ndarray, beta: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(probs, support_mask)`` of gamma-entmax of ``beta * Z`` for finite
+    rows ``Z`` and ``beta >= 0``, computed on ``beta * (Z - max Z)``: the
+    shift comes before any scaling.  A gap beyond the float range is -inf,
+    of weight 0; at ``beta = 0`` every label ties.  Raises
+    :class:`InvalidInput` if ``beta * Z`` overflows."""
+    gamma = checked(gamma, float, "gamma")
+    if not np.isfinite(gamma) or not 1.0 <= gamma <= 2.0:
+        raise InvalidGamma(f"gamma must lie in [1, 2], got {gamma}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(beta * Z)):
+            raise InvalidInput(f"beta * Z is not finite for beta = {beta}")
+        X = beta * (Z - Z.max(axis=1, keepdims=True)) if beta else np.zeros_like(Z)
+    if 1.0 < gamma < 2.0:
+        return _entmax_batch(X, gamma)
+    probs = _softmax_rows(X) if gamma == 1.0 else _sparsemax_batch(X)
+    return probs, probs > 0.0
 
 
 def entmax(Z, gamma: float) -> np.ndarray:
@@ -139,17 +154,10 @@ def entmax(Z, gamma: float) -> np.ndarray:
     ``gamma`` lies in [1, 2]: softmax at gamma = 1, sparsemax at gamma = 2
     (:func:`_sparsemax_batch`), and a Newton threshold in between
     (:func:`_entmax_batch`, run until a step no longer raises it: no
-    tolerance is involved).
-    Rows are transformed independently: a row's probabilities do not
-    depend on the other rows of the batch.  One row ``z`` is the batch
-    ``z[None]``, and its support is ``np.flatnonzero(p > 0)``.
+    tolerance is involved).  Every row is shifted by its max first, so
+    ``entmax(Z)`` and ``entmax(Z - Z.max(axis=1, keepdims=True))`` are the
+    same bits.  Rows are transformed independently: a row's probabilities
+    do not depend on the other rows of the batch.  One row ``z`` is the
+    batch ``z[None]``, and its support is ``np.flatnonzero(p > 0)``.
     """
-    Z = _as_logit_rows(Z)
-    gamma = checked(gamma, float, "gamma")
-    if not np.isfinite(gamma) or not 1.0 <= gamma <= 2.0:
-        raise InvalidGamma(f"gamma must lie in [1, 2], got {gamma}")
-    if gamma == 1.0:
-        return _softmax_rows(Z)
-    if gamma == 2.0:
-        return _sparsemax_batch(Z)
-    return _entmax_batch(Z, gamma)[0]
+    return _tempered(_as_logit_rows(Z), 1.0, gamma)[0]

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .activations import entmax
+from .activations import _tempered
 from .conformal import CalibratedPredictor, calibrate, set_masks
 from .errors import EntconformError, IoError, ValidationError
 from .harness import (
@@ -61,11 +61,7 @@ def _cmd_transform(args) -> int:
     logits, _ = _read_logits_csv(sys.stdin)
     if args.beta < 0.0:
         raise ValidationError(f"beta must be nonnegative, got {args.beta}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        Zb = args.beta * logits
-    if not np.all(np.isfinite(Zb)):
-        raise ValidationError(f"beta * logits is not finite for beta = {args.beta}")
-    probs = entmax(Zb, args.gamma)
+    probs, _ = _tempered(logits, args.beta, args.gamma)
     header = ",".join(f"p{i}" for i in range(probs.shape[1]))
     np.savetxt(sys.stdout, probs, fmt="%.6f", delimiter=",", header=header, comments="")
     return 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import _as_logit_rows, _entmax_batch, _sparsemax_batch
+from .activations import _as_logit_rows, _tempered
 from .errors import (
     DimensionMismatch,
     EmptyCalibration,
@@ -81,14 +81,10 @@ class LabeledLogitDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        logits = np.asarray(self.logits, dtype=np.float64)
+        logits = _as_logit_rows(self.logits)
         labels = _as_labels(self.labels)
-        if logits.ndim != 2 or logits.shape[1] < 2:
-            raise InvalidInput("logits must be a 2-D array with at least 2 classes")
         if labels.shape != (logits.shape[0],):
             raise DimensionMismatch("labels must match the number of instances")
-        if not np.all(np.isfinite(logits)):
-            raise InvalidInput("logits must be finite")
         if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
             raise LabelOutOfRange("labels must lie in [0, K)")
         object.__setattr__(self, "logits", logits)
@@ -123,6 +119,7 @@ class CalibratedPredictor:
     num_classes: int
 
     def __post_init__(self):
+        checked(self.score_kind, ScoreKind, "score_kind")
         _check_alpha(self.alpha)
         if not checked(self.q_hat, float, "q_hat") >= 0.0:
             raise InvalidInput(f"q_hat must be nonnegative or inf, got {self.q_hat}")
@@ -236,6 +233,7 @@ def calibrate(cal: LabeledLogitDataset, kind: ScoreKind, alpha: float) -> Calibr
     ``cal`` may also be the sorted view of the calibration pairs that a
     sweep shares among its methods, alphas and grid points.
     """
+    checked(kind, ScoreKind, "kind")
     alpha = _check_alpha(alpha)
     if cal.n == 0:
         raise EmptyCalibration("calibration dataset is empty")
@@ -261,7 +259,7 @@ def set_masks(Z, pred: CalibratedPredictor, u=None) -> np.ndarray:
     ``all_label_scores(Z, kind, u) <= q_hat`` bit for bit.
     """
     Z = _as_logit_rows(Z)
-    if Z.shape[1] != pred.num_classes:
+    if checked(pred, CalibratedPredictor, "pred").num_classes != Z.shape[1]:
         raise DimensionMismatch(
             f"predictor was calibrated with K={pred.num_classes}, got {Z.shape[1]}"
         )
@@ -308,7 +306,8 @@ def support_sets_via_entmax(Z, beta: float, gamma: float) -> list[PredictionSet]
     run until a step no longer raises it), never through the score
     inequality, so this is an independent route to the same sets as
     :func:`predict_sets` with the matching rank-gap kind and ``q_hat =
-    delta / beta``.  A ``beta`` for which ``beta * Z`` overflows raises
+    delta / beta``.  The temperature scales the shifted rows, ``beta * (Z
+    - max Z)``.  A ``beta`` for which ``beta * Z`` overflows raises
     :class:`InvalidInput`.
     """
     Z = _as_logit_rows(Z)
@@ -317,12 +316,4 @@ def support_sets_via_entmax(Z, beta: float, gamma: float) -> list[PredictionSet]
         raise InvalidInput(f"beta must be finite and positive, got {beta}")
     if not 1.0 < checked(gamma, float, "gamma") <= 2.0:
         raise InvalidGamma(f"gamma must lie in (1, 2], got {gamma}")
-    with np.errstate(over="ignore"):
-        Zb = beta * Z
-    if not np.all(np.isfinite(Zb)):
-        raise InvalidInput(f"beta * Z is not finite for beta = {beta}")
-    if gamma == 2.0:
-        masks = _sparsemax_batch(Zb) > 0.0
-    else:
-        _, masks = _entmax_batch(Zb, gamma)
-    return [PredictionSet.from_mask(row) for row in masks]
+    return [PredictionSet.from_mask(row) for row in _tempered(Z, beta, gamma)[1]]

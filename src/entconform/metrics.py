@@ -96,7 +96,7 @@ class EvaluationRun:
             sizes = sets.sum(axis=1, dtype=np.int64)
             covered = sets[np.arange(labels.size), labels]
         else:
-            sets = tuple(self.sets)
+            sets = tuple(checked(s, PredictionSet, "a prediction set") for s in self.sets)
             if labels.shape != (len(sets),):
                 raise InvalidInput("labels must match the number of prediction sets")
             n = len(sets)
@@ -170,6 +170,8 @@ def compute_report(run: EvaluationRun, bins: SizeBins) -> MetricsReport:
     that fraction among the sets of size 1, None when there are none.  Each
     bin reports its instance count and coverage, None when empty.
     """
+    checked(run, EvaluationRun, "run")
+    checked(bins, SizeBins, "bins")
     if run.n == 0:
         raise EmptyRun("no prediction sets to evaluate")
     sizes, covered = run.sizes, run.covered

@@ -464,6 +464,7 @@ def all_label_scores(Z, kind: ScoreKind, u=None) -> np.ndarray:
     variant).  Every kind rejects any other ``u``.
     """
     Z = _as_logit_rows(Z)
+    checked(kind, ScoreKind, "kind")
     u = _resolve_u(Z.shape[0], u)
     out = np.empty(Z.shape)
     for rows in _row_blocks(*Z.shape):
@@ -484,6 +485,7 @@ def true_label_scores(Z, labels, kind: ScoreKind, u=None) -> np.ndarray:
     checked as in :func:`all_label_scores`, for every kind.
     """
     Z = _as_logit_rows(Z)
+    checked(kind, ScoreKind, "kind")
     labels = _as_labels(labels)
     if labels.shape != (Z.shape[0],):
         raise InvalidInput("labels must be a vector matching the instance count")

@@ -103,15 +103,17 @@ def entmax_bisect_every_iteration(Z, gamma: float, tol: float, max_iters: int = 
     or ``max_iters`` is spent, even after its midpoint has rounded onto an
     end of the bracket.  With ``tol=0.0`` and enough halvings to reach the
     smallest subnormal (``max_iters=1100``), every row runs to the point
-    where its bracket no longer moves.  It keeps the package's support cut,
-    so its supports must equal the package's exactly and its probabilities
-    within round-off.  Returns ``(probs, tau, support)``.
+    where its bracket no longer moves.  It keeps the package's shift
+    (``(gamma-1) (z - max z)``) and support rule (a positive ramp, or a tie
+    at the row max), so its supports must equal the package's exactly and
+    its probabilities within round-off.  Returns ``(probs, tau, support)``,
+    ``tau`` in units of ``(gamma-1) z``.
     """
     delta = 1.0 / (gamma - 1.0)
-    X = (gamma - 1.0) * np.asarray(Z, dtype=np.float64)
-    n = X.shape[0]
-    xmax = X.max(axis=1)
-    Xs = X - xmax[:, None]
+    Z = np.asarray(Z, dtype=np.float64)
+    n = Z.shape[0]
+    zmax = Z.max(axis=1)
+    Xs = (gamma - 1.0) * (Z - zmax[:, None])
     lo, hi = np.full(n, -1.0), np.zeros(n)
     tau = np.full(n, -0.5)
     done = np.zeros(n, dtype=bool)
@@ -127,11 +129,10 @@ def entmax_bisect_every_iteration(Z, gamma: float, tol: float, max_iters: int = 
         lo[active] = np.where(go_lo, mid, lo[active])
         hi[active] = np.where(go_lo, hi[active], mid)
     ramp = Xs - tau[:, None]
-    eps = np.maximum(1e-13, 2.0**-50 * np.abs(X).max(axis=1))
-    support = (ramp > eps[:, None]) | (Xs == 0.0)
+    support = (ramp > 0.0) | (Xs == 0.0)
     probs = np.where(support, np.power(np.maximum(ramp, 0.0), delta), 0.0)
     probs /= probs.sum(axis=1, keepdims=True)
-    return probs, tau + xmax, support
+    return probs, tau + (gamma - 1.0) * zmax, support
 
 
 def read_logits_csv_per_row(fh, labeled: bool = False):

@@ -108,15 +108,23 @@ class TestTransform:
             ("2", "z0,z1,z2\n3e16,1,0\n", "1.0", "1.000000,0.000000,0.000000"),
             ("2", "z0,z1,z2\n1e16,1e16,0\n", "1.0", "0.500000,0.500000,0.000000"),
             ("2", "z0,z1\n1,0\n", "1e17", "1.000000,0.000000"),
+            # the span overflows the shift: that gap is -inf, of weight 0
+            ("1.5", "z0,z1,z2\n1e308,-1e308,0\n", "1", "1.000000,0.000000,0.000000"),
+            ("1.5", "z0,z1,z2\n1e308,-1e308,0\n", "0", "0.333333,0.333333,0.333333"),
+            ("2", "z0,z1,z2\n1e308,-1e308,0\n", "1", "1.000000,0.000000,0.000000"),
+            ("2", "z0,z1,z2\n1e308,-1e308,0\n", "0", "0.333333,0.333333,0.333333"),
         ],
         ids=["large-logit", "large-beta", "large-tied", "large-offset", "sparsemax-large-logit",
-             "sparsemax-large-tied", "sparsemax-large-beta"],
+             "sparsemax-large-tied", "sparsemax-large-beta", "span-overflow",
+             "span-overflow-beta-0", "sparsemax-span-overflow", "sparsemax-span-overflow-beta-0"],
     )
     def test_scaled_maximum_beyond_2_to_53(self, monkeypatch, capsys, gamma, stdin_text, beta, row):
         # (gamma-1) * max(z) - 1 rounds back to (gamma-1) * max(z) here, so
         # a threshold found on the unshifted scores is lost; sparsemax's
         # sums printed zeros and warned of a division by zero, and a
-        # support cut scaled by max|(gamma-1) z| kept only the argmax
+        # support cut scaled by max|(gamma-1) z| kept only the argmax.  The
+        # rows are now shifted by their max before beta and (gamma-1) scale
+        # them, and the support is every positive ramp
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
         code = main(["transform", "--gamma", gamma, "--beta", beta])
         out, err = capsys.readouterr()

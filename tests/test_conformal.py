@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -19,9 +20,11 @@ from entconform import (
     PredictionSet,
     RapsParams,
     ScoreKind,
+    SizeBins,
     SplitSpec,
     all_label_scores,
     calibrate,
+    compute_report,
     conformal_quantile,
     entmax,
     predict_sets,
@@ -369,9 +372,10 @@ class TestSupportSetViaEntmax:
         "z", [[2e13, 2e13 - 0.5, 2e13 - 5.0], [1e16, 1e16, 0.0]], ids=["offset-2e13", "tied-1e16"],
     )
     def test_entmax_support_at_large_magnitudes(self, z):
-        # the support cut scaled by max|(gamma-1) z| reached 1, above every
-        # ramp, so only the argmax was kept; both rows have the support of
-        # their unshifted twin and of the score route
+        # a support cut scaled by max|(gamma-1) z| reached 1 here, above
+        # every ramp, so only the argmax was kept; with the row max
+        # subtracted first and no cut, both rows have the support of their
+        # shifted twin and of the score route
         z = np.array(z)
         twin = z - z.max()
         assert support_one(z, 1.0, 1.5).labels == (0, 1)
@@ -379,6 +383,47 @@ class TestSupportSetViaEntmax:
         pred = _entmax_predictor(1.5, 2.0, 3)  # q_hat = delta / beta
         assert predict_one(z, pred).labels == (0, 1)
         np.testing.assert_array_equal(entmax(z[None], 1.5), entmax(twin[None], 1.5))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e13], ids=["0", "1e6", "1e13"])
+    @pytest.mark.parametrize("gamma", [1.1, 1.5, 1.9, 2.0])
+    def test_shift_invariant_bit_for_bit(self, gamma, offset):
+        # the row max is subtracted before any scaling, so a row and its
+        # shifted twin give the same bits and the same supports
+        rng = np.random.default_rng(int(gamma * 10))
+        for k, scale in itertools.product((2, 57, 300), (3.0, 0.1)):
+            Z = offset + scale * rng.normal(size=(40, k))
+            twin = Z - Z.max(axis=1, keepdims=True)
+            assert entmax(Z, gamma).tobytes() == entmax(twin, gamma).tobytes()
+            for beta in (1.0, 3.0, 0.7):
+                assert support_sets_via_entmax(Z, beta, gamma) == support_sets_via_entmax(
+                    twin, beta, gamma
+                )
+
+    @pytest.mark.parametrize("gamma", [1.1, 1.5, 1.9, 2.0])
+    def test_supports_match_the_score_route_at_large_offsets(self, gamma):
+        # rows near 1e13: only labels whose score ties q_hat (within 1e-9
+        # relative) may fall on different sides in the two routes
+        rng = np.random.default_rng(321)
+        kind = ScoreKind.sparsemax() if gamma == 2.0 else ScoreKind.entmax(gamma)
+        delta = 1.0 / (gamma - 1.0)
+        for k in (5, 57, 300):
+            Z = 1e13 + 3.0 * rng.normal(size=(60, k))
+            s = all_label_scores(Z, kind)
+            true_scores = s[np.arange(60), rng.integers(0, k, size=60)]
+            for q_hat in np.quantile(true_scores, [0.3, 0.6, 0.9]):
+                got = np.zeros_like(s, dtype=bool)
+                for i, sup in enumerate(support_sets_via_entmax(Z, delta / q_hat, gamma)):
+                    got[i, list(sup.labels)] = True
+                differ = (got != (s <= q_hat)) & (np.abs(s - q_hat) > 1e-9 * q_hat)
+                assert not differ.any()
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.0])
+    def test_row_whose_span_overflows_the_shift(self, gamma):
+        # 1e308 - (-1e308) is beyond the float range: that gap is -inf, of
+        # weight 0, and no warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert support_one([1e308, -1e308, 0.0], 1.0, gamma).labels == (0,)
 
     def test_gap_sum_condition_matches_sparsemax_support(self):
         # at gamma = 2 membership is exactly "gap sum below 1/beta"
@@ -778,6 +823,55 @@ def test_python_api_rejects_what_the_file_boundaries_reject(build, error):
     # a label must be a whole number and every field must have its type, as
     # the CSV and JSON readers already demand, not be truncated or coerced
     with pytest.raises(error):
+        build()
+
+
+SPARSEMAX_PRED_2 = CalibratedPredictor(ScoreKind.sparsemax(), 0.1, 1.0, 5, 2)
+
+
+@pytest.mark.parametrize("logits", [[["a", "b"]], [[1.0, 2.0], [3.0]]], ids=["text", "ragged"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda Z: entmax(Z, 1.5),
+        lambda Z: set_masks(Z, SPARSEMAX_PRED_2),
+        lambda Z: predict_sets(Z, SPARSEMAX_PRED_2),
+        lambda Z: all_label_scores(Z, ScoreKind.sparsemax()),
+        lambda Z: true_label_scores(Z, [0] * len(Z), ScoreKind.sparsemax()),
+        lambda Z: support_sets_via_entmax(Z, 1.0, 1.5),
+        lambda Z: LabeledLogitDataset(Z, [0] * len(Z)),
+    ],
+    ids=["entmax", "set-masks", "predict-sets", "all-label-scores", "true-label-scores",
+         "support-sets", "dataset"],
+)
+def test_logits_that_are_no_number_array_rejected(call, logits):
+    # numpy's conversion raised a bare ValueError
+    with pytest.raises(InvalidInput):
+        call(logits)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CalibratedPredictor("sparsemax", 0.1, 1.0, 5, 3),
+        lambda: calibrate(toy_dataset(), "sparsemax", 0.1),
+        lambda: calibrate(scores._sort_rows(toy_dataset().logits, toy_dataset().labels),
+                          "sparsemax", 0.1),
+        lambda: all_label_scores(np.zeros((2, 3)), "sparsemax"),
+        lambda: true_label_scores(np.zeros((2, 3)), [0, 1], "sparsemax"),
+        lambda: set_masks(np.zeros((2, 3)), calibrate(toy_dataset(), ScoreKind.sparsemax(),
+                                                      0.1).to_json_dict()),
+        lambda: compute_report(EvaluationRun(np.ones((2, 3), dtype=bool), [0, 1], 0.1), None),
+        lambda: compute_report(None, SizeBins.default(3)),
+        lambda: EvaluationRun([[0]] * 2, [0, 1], 0.1),
+    ],
+    ids=["predictor-str-kind", "calibrate-str-kind", "calibrate-view-str-kind",
+         "all-label-scores-str-kind", "true-label-scores-str-kind", "set-masks-dict-predictor",
+         "report-no-bins", "report-no-run", "run-of-label-lists"],
+)
+def test_package_object_of_another_type_rejected(build):
+    # each was accepted and failed later with a bare AttributeError
+    with pytest.raises(InvalidInput):
         build()
 
 
