@@ -158,6 +158,9 @@ def entmax(Z, gamma: float) -> np.ndarray:
     ``entmax(Z)`` and ``entmax(Z - Z.max(axis=1, keepdims=True))`` are the
     same bits.  Rows are transformed independently: a row's probabilities
     do not depend on the other rows of the batch.  One row ``z`` is the
-    batch ``z[None]``, and its support is ``np.flatnonzero(p > 0)``.
+    batch ``z[None]``.  Its support is
+    :func:`entconform.conformal.support_sets_via_entmax` at ``beta = 1``,
+    not ``np.flatnonzero(p > 0)``: for 1 < gamma < 2 a label whose ramp is
+    positive can get a probability that underflows to 0.
     """
     return _tempered(_as_logit_rows(Z), 1.0, gamma)[0]

@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 
 import numpy as np
 
 from .activations import _tempered
 from .conformal import CalibratedPredictor, calibrate, set_masks
-from .errors import EntconformError, IoError, ValidationError
+from .errors import EntconformError, ValidationError
 from .harness import (
     ExperimentConfig,
     _read_logits_csv,
+    _write_json,
     load_dataset,
     read_json_object,
     run_sweep,
@@ -42,15 +42,6 @@ def _kind_from_args(args) -> ScoreKind:
     return ScoreKind.from_dict(
         {"score": score, **{k: v for k, v in fields.items() if v is not None}}
     )
-
-
-def _write_json(path: str, doc: dict) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_transform(args) -> int:

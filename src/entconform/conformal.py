@@ -32,14 +32,13 @@ from .errors import (
 )
 from .scores import (
     ScoreKind,
+    _as_batch,
     _as_labels,
     _entmax_prefix,
     _rank_order_scores,
     _resolve_u,
-    _row_blocks,
-    _sort_rows,
     _SortedRows,
-    _true_scores,
+    _view_blocks,
     true_label_scores,
 )
 
@@ -204,43 +203,30 @@ def _draw_u(kind: ScoreKind, n: int, stream: int):
     return None
 
 
-def _set_u(kind: ScoreKind, n: int, u) -> np.ndarray:
-    """The checked RAPS weights of n test rows: ``u``, or when it is None
-    the set stream's draw (:func:`_draw_u`), drawn for all n rows at once."""
-    return _resolve_u(n, _draw_u(kind, n, 1) if u is None else u)
-
-
-def _scores(cal, kind: ScoreKind) -> np.ndarray:
-    """The true-label scores of ``cal`` under ``kind``.
-
-    A sorted view (:class:`entconform.scores._SortedRows`) scores each kind
-    once and keeps the vector for every later alpha; a dataset is scored in
-    row blocks and keeps nothing.
-    """
-    if not isinstance(cal, _SortedRows):
-        return true_label_scores(cal.logits, cal.labels, kind, u=_draw_u(kind, cal.n, 0))
-    if kind not in cal.scores:
-        u = _resolve_u(cal.n, _draw_u(kind, cal.n, 0))
-        cal.scores[kind] = _true_scores(cal, kind, u)
-    return cal.scores[kind]
-
-
 def calibrate(cal: LabeledLogitDataset, kind: ScoreKind, alpha: float) -> CalibratedPredictor:
     """Score the calibration pairs and fix the inclusion threshold.
 
     For the randomized RAPS kind, per-instance uniform weights are drawn
     from ``default_rng(params.rng_seed)`` so calibration is reproducible.
     ``cal`` may also be the sorted view of the calibration pairs that a
-    sweep shares among its methods, alphas and grid points.
+    sweep shares among its methods, alphas and grid points: it is scored
+    once per kind, by :func:`true_label_scores` at each row's rank, and
+    keeps the vector for every later alpha.
     """
     checked(kind, ScoreKind, "kind")
     alpha = _check_alpha(alpha)
     if cal.n == 0:
         raise EmptyCalibration("calibration dataset is empty")
+    if isinstance(cal, _SortedRows):
+        batch, labels, kept = cal, cal.rank, cal.scores
+    else:
+        batch, labels, kept = cal.logits, cal.labels, {}
+    if kind not in kept:
+        kept[kind] = true_label_scores(batch, labels, kind, u=_draw_u(kind, cal.n, 0))
     return CalibratedPredictor(
         score_kind=kind,
         alpha=alpha,
-        q_hat=conformal_quantile(_scores(cal, kind), alpha),
+        q_hat=conformal_quantile(kept[kind], alpha),
         calib_n=cal.n,
         num_classes=cal.num_classes,
     )
@@ -252,44 +238,39 @@ def set_masks(Z, pred: CalibratedPredictor, u=None) -> np.ndarray:
     Row i marks every label whose score is at most ``pred.q_hat``
     (every label, when calibration could not certify the requested level
     and ``q_hat`` is +inf).  For the randomized RAPS kind with ``u`` not
-    given, per-instance weights are drawn from
+    given, per-instance weights are drawn for all n rows at once from
     ``default_rng(params.rng_seed + 1)``: a stream distinct from the
-    calibration draws, and deterministic.  Each block of rows is sorted,
-    built by :func:`_view_sets` and un-sorted as bools, so the mask equals
-    ``all_label_scores(Z, kind, u) <= q_hat`` bit for bit.
+    calibration draws, and deterministic.  ``u`` is checked for every
+    predictor, one with an infinite ``q_hat`` too.
+
+    Each block of rows is sorted, its sets built in rank order and
+    un-sorted as bools, so the mask equals ``all_label_scores(Z, kind, u)
+    <= q_hat`` bit for bit.  The general-gamma kind finds each row's set
+    by a rank search (:func:`entconform.scores._entmax_prefix`), so no
+    O(K^2) score matrix is built.  ``Z`` may also be a sorted view
+    (:class:`entconform.scores._SortedRows`), a batch whose columns are
+    ranks: its mask stays in rank order, so a row's set size and whether
+    it holds the label of rank ``view.rank[i]`` are those of the
+    label-order mask.
     """
-    Z = _as_logit_rows(Z)
-    if checked(pred, CalibratedPredictor, "pred").num_classes != Z.shape[1]:
-        raise DimensionMismatch(
-            f"predictor was calibrated with K={pred.num_classes}, got {Z.shape[1]}"
-        )
-    u = _set_u(pred.score_kind, Z.shape[0], u)
-    mask = np.empty(Z.shape, dtype=bool)
-    for rows in _row_blocks(*Z.shape):
-        view = _sort_rows(Z[rows])
-        np.put_along_axis(mask[rows], view.order, _view_sets(view, pred, u[rows]), axis=1)
-    return mask
-
-
-def _view_sets(view, pred: CalibratedPredictor, u=None) -> np.ndarray:
-    """The one set builder: ``score <= pred.q_hat`` for the rows of a
-    sorted view, as a bool (n, K) mask in rank order.  Column j of row i is
-    the label at rank j, so a row's set size and whether it holds the label
-    of rank ``view.rank[i]`` are those of the label-order mask.  ``u`` is
-    checked for every predictor, one with an infinite ``q_hat`` too.  The
-    general-gamma kind finds each row's set by a rank search
-    (:func:`entconform.scores._entmax_prefix`), so no O(K^2) score matrix
-    is built."""
-    u = _set_u(pred.score_kind, view.n, u)
-    if math.isinf(pred.q_hat):
-        return np.ones((view.n, view.num_classes), dtype=bool)
+    Z = _as_batch(Z)
+    n, k = Z.shape
+    if checked(pred, CalibratedPredictor, "pred").num_classes != k:
+        raise DimensionMismatch(f"predictor was calibrated with K={pred.num_classes}, got {k}")
     kind, q = pred.score_kind, pred.q_hat
-    mask = np.empty((view.n, view.num_classes), dtype=bool)
-    for rows in _row_blocks(view.n, view.num_classes):
+    u = _resolve_u(n, _draw_u(kind, n, 1) if u is None else u)
+    if math.isinf(q):
+        return np.ones((n, k), dtype=bool)
+    mask = np.empty((n, k), dtype=bool)
+    for rows, view, at in _view_blocks(Z):
         if kind.variant == "entmax":
-            mask[rows] = _entmax_prefix(view.zs[rows], 1.0 / (kind.gamma - 1.0), q)
+            sets = _entmax_prefix(view.zs[at], 1.0 / (kind.gamma - 1.0), q)
         else:
-            mask[rows] = _rank_order_scores(view, rows, kind, u) <= q
+            sets = _rank_order_scores(view, at, kind, u[rows]) <= q
+        if view is Z:
+            mask[rows] = sets
+        else:
+            np.put_along_axis(mask[rows], view.order, sets, axis=1)
     return mask
 
 

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conformal import LabeledLogitDataset, _check_alpha, _view_sets, calibrate
+from .conformal import LabeledLogitDataset, _check_alpha, calibrate, set_masks
 from .errors import (
     InconsistentWidth,
     InvalidInput,
@@ -511,7 +511,7 @@ def _split_cells(cal_view, test_view, cfg: ExperimentConfig, seed: int, bins: Si
     del cal_view
     for method, cells in zip(cfg.methods, calibrated):
         for alpha, (pred, tuning) in zip(cfg.alphas, cells):
-            run = EvaluationRun(sets=_view_sets(test_view, pred), labels=test_view.rank, alpha=alpha)
+            run = EvaluationRun(sets=set_masks(test_view, pred), labels=test_view.rank, alpha=alpha)
             yield method.name, alpha, Cell(report=compute_report(run, bins), tuning=tuning)
 
 
@@ -543,17 +543,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
+def _json_text(doc: dict) -> str:
+    """Canonical JSON text: sorted keys, a 2-space indent and a final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` to ``path`` as :func:`_json_text`; IoError on failure."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(_json_text(doc))
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def report_json(report: ExperimentReport) -> str:
     """Canonical JSON text for a report; identical runs give identical bytes."""
-    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    return _json_text(report.to_json_dict())
 
 
 def write_report(report: ExperimentReport, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report_json(report))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_json(path, report.to_json_dict())
 
 
 def emit_plot_data(report: ExperimentReport, path: str) -> None:

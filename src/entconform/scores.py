@@ -201,10 +201,10 @@ def _as_labels(labels) -> np.ndarray:
 # The sort is kept in a :class:`_SortedRows` view: the sort's arrays plus the
 # rows the view covers.  A sweep sorts its input once; every part of every
 # split, a tuning part too, is row indices into that one sort, and every
-# method, alpha and grid point is scored from it.  The public functions
-# below, and the sets of
-# :func:`entconform.conformal.set_masks`, sort one row block at a time and
-# score each block's view with the same functions.
+# method, alpha and grid point is scored from it.  A view is itself a batch
+# for :func:`true_label_scores` and :func:`entconform.conformal.set_masks`,
+# one whose columns are ranks; an array is sorted one row block at a time
+# (:func:`_view_blocks`) and each block's view scored with the same functions.
 # ---------------------------------------------------------------------------
 
 
@@ -223,17 +223,18 @@ class _SortedRows:
     up to 32767) and ``all_ranks`` (each row's 0-based rank of its label,
     when labels were given) are the arrays of the one :func:`_sort_rows`
     call, shared by every view of it; ``rank`` holds the ranks of this
-    view's rows.  The rows in rank order (:attr:`zs`) and their softmax
-    (:attr:`probs`) are derived on first use.  ``scores`` keeps each
-    calibrated kind's true-label scores (see
-    :func:`entconform.conformal.calibrate`), one n-vector per kind, so that
-    every alpha reads one score vector.
+    view's rows, and ``shape`` is ``(n, K)``, as for a batch of rows.  The
+    rows in rank order (:attr:`zs`) and their softmax (:attr:`probs`) are
+    derived on first use.  ``scores`` keeps each calibrated kind's
+    true-label scores (see :func:`entconform.conformal.calibrate`), one
+    n-vector per kind, so that every alpha reads one score vector.
     """
 
     def __init__(self, Z, order, all_ranks, idx):
         self.Z, self.order, self.all_ranks, self.idx = Z, order, all_ranks, idx
         self.rank = None if all_ranks is None else all_ranks[idx]
         self.n, self.num_classes = idx.size, order.shape[1]
+        self.shape = (self.n, self.num_classes)
         self.scores: dict = {}
 
     @cached_property
@@ -275,6 +276,23 @@ def _sort_rows(Z: np.ndarray, labels=None) -> _SortedRows:
         if rank is not None:
             rank[rows] = np.argmax(order[rows] == labels[rows, None], axis=1)
     return _SortedRows(Z, order, rank, np.arange(n))
+
+
+def _as_batch(Z):
+    """A sorted view as it is; anything else as checked logit rows."""
+    return Z if isinstance(Z, _SortedRows) else _as_logit_rows(Z)
+
+
+def _view_blocks(Z, labels=None):
+    """``(rows, view, at)`` for each row block of a batch: the batch's
+    ``rows`` are the rows ``at`` of ``view``.  A view's blocks are its own
+    rows; an array is sorted one block at a time, with the block's
+    ``labels`` (for their ranks) when they are given."""
+    for rows in _row_blocks(*Z.shape):
+        if isinstance(Z, _SortedRows):
+            yield rows, Z, rows
+        else:
+            yield rows, _sort_rows(Z[rows], None if labels is None else labels[rows]), slice(None)
 
 
 def _sparsemax_all_sorted(zs: np.ndarray) -> np.ndarray:
@@ -431,12 +449,12 @@ def _resolve_u(n: int, u) -> np.ndarray:
 def _rank_order_scores(view: _SortedRows, rows: slice, kind: ScoreKind, u, at=None):
     """Scores in rank order of the view's ``rows``: ``s[i, j]`` is the score
     of row i's label at the 0-based rank ``at[i, j]`` (at every rank when
-    ``at`` is None).  ``u`` holds the RAPS weights of every row of the view."""
+    ``at`` is None).  ``u`` holds the RAPS weights of those rows."""
     if kind.variant == "entmax":
         zs, delta = view.zs[rows], 1.0 / (kind.gamma - 1.0)
         return _entmax_all_sorted(zs, delta) if at is None else _entmax_at(zs, at, delta)
     if kind.variant == "raps":
-        s = _raps_sorted(view.probs[rows], kind.raps_params, u[rows])
+        s = _raps_sorted(view.probs[rows], kind.raps_params, u)
     elif kind.variant == "inv_prob":
         s = 1.0 - view.probs[rows]
     elif kind.variant == "sparsemax":
@@ -444,16 +462,6 @@ def _rank_order_scores(view: _SortedRows, rows: slice, kind: ScoreKind, u, at=No
     else:
         s = view.zs[rows, :1] - view.zs[rows]
     return s if at is None else np.take_along_axis(s, at, axis=1)
-
-
-def _true_scores(view: _SortedRows, kind: ScoreKind, u) -> np.ndarray:
-    """Each row's score at its own label, from a view with ranks; ``u`` is
-    resolved (:func:`_resolve_u`).  Scores the view in row blocks."""
-    out = np.empty(view.n)
-    for rows in _row_blocks(view.n, view.num_classes):
-        at = view.rank[rows, None]
-        out[rows] = _rank_order_scores(view, rows, kind, u, at)[:, 0]
-    return out
 
 
 def all_label_scores(Z, kind: ScoreKind, u=None) -> np.ndarray:
@@ -467,9 +475,8 @@ def all_label_scores(Z, kind: ScoreKind, u=None) -> np.ndarray:
     checked(kind, ScoreKind, "kind")
     u = _resolve_u(Z.shape[0], u)
     out = np.empty(Z.shape)
-    for rows in _row_blocks(*Z.shape):
-        view = _sort_rows(Z[rows])
-        s = _rank_order_scores(view, slice(None), kind, u[rows])
+    for rows, view, at in _view_blocks(Z):
+        s = _rank_order_scores(view, at, kind, u[rows])
         np.put_along_axis(out[rows], view.order, s, axis=1)
     return out
 
@@ -482,17 +489,22 @@ def true_label_scores(Z, labels, kind: ScoreKind, u=None) -> np.ndarray:
     bit for bit: in rank order, before the un-sort, or for the
     general-gamma kind by norming only the instance's own gap vector with
     the same kernel, which avoids the O(K^2) all-label cost.  ``u`` is
-    checked as in :func:`all_label_scores`, for every kind.
+    checked as in :func:`all_label_scores`, for every kind.  ``Z`` may
+    also be a sorted view (:class:`_SortedRows`), a batch whose columns
+    are ranks: ``labels`` are then ranks, ``view.rank`` for each row's own
+    label.
     """
-    Z = _as_logit_rows(Z)
+    Z = _as_batch(Z)
     checked(kind, ScoreKind, "kind")
     labels = _as_labels(labels)
-    if labels.shape != (Z.shape[0],):
+    n, k = Z.shape
+    if labels.shape != (n,):
         raise InvalidInput("labels must be a vector matching the instance count")
-    if np.any(labels < 0) or np.any(labels >= Z.shape[1]):
+    if np.any(labels < 0) or np.any(labels >= k):
         raise LabelOutOfRange("label index outside the class range")
-    u = _resolve_u(Z.shape[0], u)
-    out = np.empty(Z.shape[0])
-    for rows in _row_blocks(*Z.shape):
-        out[rows] = _true_scores(_sort_rows(Z[rows], labels[rows]), kind, u[rows])
+    u = _resolve_u(n, u)
+    out = np.empty(n)
+    for rows, view, at in _view_blocks(Z, labels):
+        ranks = labels[rows] if view is Z else view.rank
+        out[rows] = _rank_order_scores(view, at, kind, u[rows], ranks[:, None])[:, 0]
     return out

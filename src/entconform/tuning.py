@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .conformal import CalibratedPredictor, LabeledLogitDataset, _view_sets, calibrate
+from .conformal import CalibratedPredictor, LabeledLogitDataset, calibrate, set_masks
 from .errors import InsufficientData, InvalidFractions, InvalidInput, checked
 from .scores import RapsParams, ScoreKind, _sort_rows
 
@@ -134,7 +134,7 @@ def _grid_search(view, alphas, seed: int, kinds: dict) -> list[TuningResult]:
     results = []
     for alpha in alphas:
         preds = {param: calibrate(cal_part, kind, alpha) for param, kind in kinds.items()}
-        table = {p: float(_view_sets(tune_part, pred).sum(axis=1).mean())
+        table = {p: float(set_masks(tune_part, pred).sum(axis=1).mean())
                  for p, pred in preds.items()}
         chosen = min(table, key=lambda p: (table[p], p))
         results.append(TuningResult(chosen, table[chosen], table, preds[chosen]))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entconform import InvalidGamma, InvalidInput, entmax
+from entconform import InvalidGamma, InvalidInput, entmax, support_sets_via_entmax
 
 from entconform.activations import _entmax_batch, _softmax_rows, _sparsemax_batch
 
@@ -165,6 +165,14 @@ class TestEntmax:
             probs, support = _entmax_batch(z[None], gamma)
             np.testing.assert_array_equal(probs > 0.0, support)
             np.testing.assert_array_equal(probs[0], one_row(z, gamma))
+
+    def test_support_keeps_a_label_whose_probability_underflows(self):
+        # the ramp of label 2 is positive, but its power 1/(gamma - 1) = 100
+        # underflows: a row's support is support_sets_via_entmax at beta 1,
+        # not the positive probabilities
+        z = [0.0, 0.0, -99.3085]
+        assert one_row(z, 1.01).tolist() == [0.5, 0.5, 0.0]
+        assert support_sets_via_entmax(np.array([z]), 1.0, 1.01)[0].labels == (0, 1, 2)
 
 
 class TestNewtonThreshold:

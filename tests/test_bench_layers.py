@@ -80,6 +80,7 @@ def test_a_tuned_sweep_reaches_its_traced_layers(spans, monkeypatch, tmp_path):
         "tuning.split",
         "conformal.calibrate",
         "conformal.conformal_quantile",
+        "scores.true_label_scores",
         "scores.descending_order",
         "metrics.compute_report",
     }

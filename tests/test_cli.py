@@ -21,6 +21,10 @@ def dataset_csv(tmp_path):
     return str(path)
 
 
+def canonical_json(doc) -> bytes:
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
 class TestTransform:
     def run(self, argv, stdin_text, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
@@ -140,6 +144,7 @@ MALFORMED_BYTES = {
     "finite-field-over-limit": (b"label,z0,z1\n0,1.0,0." + b"0" * 140_000 + b"1\n", 2),
     "not-utf8": (b"label,z0,z1\n0,1.0,2.0\n\xff\n", 3),
     "not-utf8-in-value": (b"label,z0,z1\n0,1.0,2.0\n1,\xe9,2.0\n", 3),
+    "empty": (b"", 1),
 }
 
 
@@ -187,6 +192,8 @@ class TestCalibrateEvaluate:
         assert set(doc) == {
             "score_kind", "alpha", "q_hat", "beta_inv", "calib_n", "num_classes"
         }
+        # both commands write the sweep's canonical JSON bytes
+        assert open(pred_path, "rb").read() == canonical_json(doc)
         assert doc["score_kind"] == {"score": "entmax", "gamma": 1.5}
         assert doc["num_classes"] == 4
 
@@ -197,6 +204,7 @@ class TestCalibrateEvaluate:
         )
         assert code == 0
         report = json.loads(open(report_path).read())
+        assert open(report_path, "rb").read() == canonical_json(report)
         # evaluating on the calibration data itself: coverage must be at
         # least the nominal level by construction of the quantile
         assert report["coverage"] >= 0.9
@@ -429,6 +437,15 @@ class TestSweepCommand:
             (("bins",), [["a", 1]]),
             (("bins",), [[0]]),
             (("bins",), [[0, 1.5], [2, 4]]),
+            (("methods",), []),
+            (("methods",), [{"name": "x"}]),
+            (("alphas",), []),
+            (("n_splits",), 0),
+            (("cal_fraction",), 1.0),
+            (("base_seed",), -1),
+            (("bins",), []),
+            (("bins",), [[0, -1]]),
+            ((1, "rng_seed"), -1),
         ],
         ids=[
             "gamma-str", "gamma-bool", "k-reg-str", "lambda-list", "randomized-str",
@@ -437,7 +454,9 @@ class TestSweepCommand:
             "untuned-null-grid", "tuned-raps-gamma-grid", "name-int", "n-splits-str", "n-splits-bool",
             "alphas-scalar", "alpha-str", "cal-fraction-str", "base-seed-real",
             "methods-object", "method-int", "input-path-int", "bins-scalar",
-            "bin-edge-str", "bin-single-edge", "bin-edge-real",
+            "bin-edge-str", "bin-single-edge", "bin-edge-real", "no-methods",
+            "method-without-score", "no-alphas", "zero-splits", "cal-fraction-1",
+            "negative-base-seed", "bins-empty", "bin-lo-above-hi", "negative-rng-seed",
         ],
     )
     def test_mistyped_config_exits_2(self, tmp_path, dataset_csv, capsys, path, value):
@@ -638,3 +657,15 @@ class TestSweepCommand:
         target.write_text("a file, not a directory")
         assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(target)]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name", ["report.json", "plotdata.csv"])
+    def test_output_file_that_is_a_directory_exits_3(self, tmp_path, dataset_csv, capsys, name):
+        cfg = {"input_path": dataset_csv, "methods": [{"score": "sparsemax"}], "alphas": [0.2],
+               "n_splits": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        blocked = tmp_path / "out" / name
+        blocked.mkdir(parents=True)
+        assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "IoError" in err and str(blocked) in err

@@ -132,18 +132,19 @@ class TestOneSortForEveryAlpha:
         cal = LabeledLogitDataset(Z, rng.integers(0, 6, 60))
         view = scores._sort_rows(cal.logits, cal.labels)
         calls = []
-        true_scores = conformal._true_scores
+        true_scores = conformal.true_label_scores
 
-        def counted(*args):
-            calls.append(args)
-            return true_scores(*args)
+        def counted(Z, *args, **kwargs):
+            calls.append(Z)
+            return true_scores(Z, *args, **kwargs)
 
-        monkeypatch.setattr(conformal, "_true_scores", counted)
+        monkeypatch.setattr(conformal, "true_label_scores", counted)
         for alpha in self.ALPHAS:
             got, want = calibrate(view, kind, alpha), calibrate(cal, kind, alpha)
             assert np.float64(got.q_hat).tobytes() == np.float64(want.q_hat).tobytes()
             assert got == want
-        assert len(calls) == 1
+        assert sum(Z is view for Z in calls) == 1
+        assert len(calls) == 1 + len(self.ALPHAS)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=ALL_KIND_IDS)
     def test_rank_order_cells_equal_label_order_cells(self, kind):
@@ -154,10 +155,22 @@ class TestOneSortForEveryAlpha:
         view = scores._sort_rows(test.logits, test.labels)
         for alpha in (0.005, 0.1, 0.3):
             pred = calibrate(cal, kind, alpha)
-            rank_run = EvaluationRun(sets=conformal._view_sets(view, pred), labels=view.rank, alpha=alpha)
+            rank_run = EvaluationRun(sets=set_masks(view, pred), labels=view.rank, alpha=alpha)
             run = EvaluationRun(sets=set_masks(test.logits, pred), labels=test.labels, alpha=alpha)
             np.testing.assert_array_equal(rank_run.sizes, run.sizes)
             np.testing.assert_array_equal(rank_run.covered, run.covered)
+
+    def test_a_view_is_checked_as_a_batch(self):
+        # a view's K is checked against the predictor, and its ranks
+        # against K, as an array's are
+        data = make_task(20, num_classes=5, seed=4)
+        view = scores._sort_rows(data.logits, data.labels)
+        with pytest.raises(DimensionMismatch):
+            set_masks(view, CalibratedPredictor(ScoreKind.sparsemax(), 0.1, 1.0, 5, 4))
+        with pytest.raises(LabelOutOfRange):
+            true_label_scores(view, view.rank + 5, ScoreKind.sparsemax())
+        with pytest.raises(InvalidInput):
+            true_label_scores(view, view.rank[:3], ScoreKind.sparsemax())
 
 
 def toy_dataset():
@@ -777,6 +790,9 @@ class TestDatasetValidation:
         np.testing.assert_array_equal(sub.labels, data.labels[[7, 2, 5]])
 
 
+SPARSEMAX_METHOD = MethodSpec("sparsemax", kind=ScoreKind.sparsemax())
+
+
 @pytest.mark.parametrize(
     "build, error",
     [
@@ -807,6 +823,28 @@ class TestDatasetValidation:
         (lambda: tune_gamma(make_task(40, num_classes=4, seed=1), 0.2, grid=5), InvalidInput),
         (lambda: tune_raps(make_task(40, num_classes=4, seed=1), 0.2, k_grid=np.array(2)),
          InvalidInput),
+        (lambda: entmax(np.zeros((2, 3, 4)), 1.5), InvalidInput),
+        (lambda: CalibratedPredictor.from_json_dict([]), InvalidInput),
+        (lambda: conformal_quantile(np.zeros((2, 2)), 0.1), InvalidInput),
+        (lambda: conformal_quantile([0.5, math.nan], 0.1), InvalidInput),
+        (lambda: MethodSpec("entmax", tune=True, kind=ScoreKind.entmax(1.5)), InvalidInput),
+        (lambda: MethodSpec("sparsemax"), InvalidInput),
+        (lambda: MethodSpec.from_dict({"name": "x"}), InvalidInput),
+        (lambda: ExperimentConfig("in.csv", (), (0.1,)), InvalidInput),
+        (lambda: ExperimentConfig("in.csv", (SPARSEMAX_METHOD,), ()), InvalidInput),
+        (lambda: ExperimentConfig("in.csv", (SPARSEMAX_METHOD,), (0.1,), n_splits=0),
+         InvalidInput),
+        (lambda: ExperimentConfig("in.csv", (SPARSEMAX_METHOD,), (0.1,), cal_fraction=1.0),
+         InvalidInput),
+        (lambda: ExperimentConfig("in.csv", (SPARSEMAX_METHOD,), (0.1,), base_seed=-1),
+         InvalidInput),
+        (lambda: SizeBins(()), InvalidInput),
+        (lambda: SizeBins(((0, 1), (2, 1))), InvalidInput),
+        (lambda: EvaluationRun((PredictionSet((0,)),), [0, 1], 0.1), InvalidInput),
+        (lambda: RapsParams(0.1, 2, rng_seed=-1), InvalidInput),
+        (lambda: ScoreKind("sparsemax", raps_params=RapsParams(0.1, 2)), InvalidInput),
+        (lambda: true_label_scores(np.zeros((2, 3)), [0], ScoreKind.sparsemax()), InvalidInput),
+        (lambda: SplitSpec((0.5, 0.5), -1), InvalidInput),
     ],
     ids=[
         "dataset-fractional-label", "dataset-nan-label", "mask-run-fractional-label",
@@ -816,12 +854,19 @@ class TestDatasetValidation:
         "calibrate-word-alpha", "calibrate-str-alpha", "quantile-str-alpha",
         "tune-gamma-str-alpha", "mask-run-str-alpha", "set-run-str-alpha", "config-str-alpha",
         "method-int-gamma-grid", "method-real-lambda-grid", "tune-gamma-int-grid",
-        "tune-raps-0d-k-grid",
+        "tune-raps-0d-k-grid", "entmax-3d-logits", "predictor-doc-not-object",
+        "quantile-2d-scores", "quantile-nan-score", "method-tuned-with-kind",
+        "method-untuned-without-kind", "method-doc-without-score", "config-no-methods",
+        "config-no-alphas", "config-zero-splits", "config-cal-fraction-1",
+        "config-negative-seed", "bins-empty", "bin-lo-above-hi", "set-run-count-mismatch",
+        "raps-negative-seed", "kind-foreign-raps-params", "scores-label-count",
+        "split-negative-seed",
     ],
 )
 def test_python_api_rejects_what_the_file_boundaries_reject(build, error):
     # a label must be a whole number and every field must have its type, as
-    # the CSV and JSON readers already demand, not be truncated or coerced
+    # the CSV and JSON readers already demand, not be truncated or coerced;
+    # and every other documented precondition raises its class
     with pytest.raises(error):
         build()
 

@@ -86,6 +86,11 @@ class TestLoadDataset:
         with pytest.raises(EmptyCalibration):
             calibrate(data, ScoreKind.sparsemax(), 0.1)
 
+    def test_empty_file_has_no_header(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            load_dataset(write_csv(tmp_path / "d.csv", ""))
+        assert err.value.line == 1
+
     def test_missing_file(self):
         with pytest.raises(ParseError):
             load_dataset("/nonexistent/nowhere.csv")
@@ -489,7 +494,7 @@ class TestRunExperiment:
         spy(harness_mod, "calibrate")
         spy(harness_mod, "_grid_search")
         spy(tuning_mod, "calibrate")
-        spy(tuning_mod, "_view_sets")
+        spy(tuning_mod, "set_masks")
 
         for seed in (11, 12):
             cfg = tiny_experiment(
@@ -510,7 +515,7 @@ class TestRunExperiment:
                 "entconform.harness.calibrate",
                 "entconform.harness._grid_search",
                 "entconform.tuning.calibrate",
-                "entconform.tuning._view_sets",
+                "entconform.tuning.set_masks",
             }
             for _, view in seen:
                 # a part's rows are its indices into the one sort

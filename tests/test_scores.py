@@ -14,7 +14,7 @@ from entconform import (
     true_label_scores,
 )
 import entconform.scores as scores_mod
-from entconform.conformal import CalibratedPredictor, _view_sets, set_masks
+from entconform.conformal import CalibratedPredictor, set_masks
 from entconform.scores import descending_order
 
 from oracles import delta_norm, gap_vector
@@ -388,14 +388,14 @@ class TestVectorizedAgainstScalar:
             np.testing.assert_array_equal(part.zs, fresh.zs)
             assert part.probs.tobytes() == fresh.probs.tobytes()
             np.testing.assert_array_equal(part.rank, fresh.rank)
-            got = scores_mod._true_scores(part, kind, u[idx])
-            assert got.tobytes() == scores_mod._true_scores(fresh, kind, u[idx]).tobytes()
+            got = true_label_scores(part, part.rank, kind, u=u[idx])
+            assert got.tobytes() == true_label_scores(fresh, fresh.rank, kind, u=u[idx]).tobytes()
             want = true_label_scores(Z[idx], labels[idx], kind, u=u[idx])
             assert got.tobytes() == want.tobytes()
             for q in np.quantile(got, [0.0, 0.3, 0.9]):
                 pred = predictor_at(kind, q, 57)
-                sets = _view_sets(part, pred, u[idx])
-                np.testing.assert_array_equal(sets, _view_sets(fresh, pred, u[idx]))
+                sets = set_masks(part, pred, u=u[idx])
+                np.testing.assert_array_equal(sets, set_masks(fresh, pred, u=u[idx]))
                 np.testing.assert_array_equal(
                     sets.sum(axis=1), set_masks(Z[idx], pred, u=u[idx]).sum(axis=1)
                 )
