@@ -126,6 +126,11 @@ class CalibratedPredictor:
             raise InvalidInput(f"calib_n must be positive, got {self.calib_n}")
         if checked(self.num_classes, int, "num_classes") < 2:
             raise InvalidInput(f"num_classes must be at least 2, got {self.num_classes}")
+        params = self.score_kind.raps_params
+        if params is not None and params.k_reg > self.num_classes:
+            raise InvalidInput(
+                f"k_reg = {params.k_reg} exceeds the number of classes {self.num_classes}"
+            )
 
     @property
     def beta_inv(self) -> float | None:

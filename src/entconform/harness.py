@@ -107,7 +107,7 @@ def _read_logits_csv(fh, labeled: bool = False, rows: Optional[int] = None):
     the logits be allocated once; otherwise the blocks are joined at the
     end.  The logits are C-contiguous float64 and the labels int64.
     """
-    _, header = next(_records(fh, 1), (1, None))
+    _, header = next(_records(fh, 1, 1), (1, None))
     if header is None:
         raise ParseError("empty input: missing header", line=1)
     _check_decoded(header, 1)
@@ -137,18 +137,22 @@ def _blocks(fh, width: int, offset: int):
     """``(values, labels)`` for each block of lines after the header.
 
     A block goes to numpy's tokenizer, and to the row loop where that
-    rejects it.  A quoted field may span lines, so from the first block
-    with a quote the row loop reads the rest of the input.
+    rejects it or holds a quote.  A quoted field may span lines, so the
+    row loop reads on through ``fh`` to the end of the record that holds
+    the block's last line; numpy's blocks resume at the next record.
     """
     size = max(1, _BLOCK_CELLS // width)
     lineno = 2
     while lines := list(itertools.islice(fh, size)):
-        if any('"' in line for line in lines):
-            yield _parse_rows(itertools.chain(lines, fh), lineno, width, offset)
-            return
-        parsed = _parse_block(lines, width, offset)
-        yield parsed if parsed is not None else _parse_rows(lines, lineno, width, offset)
-        lineno += len(lines)
+        quoted = any('"' in line for line in lines)
+        parsed = None if quoted else _parse_block(lines, width, offset)
+        if parsed is not None:
+            lineno += len(lines)
+            yield parsed
+        else:
+            rows = itertools.chain(lines, fh)
+            values, labels, lineno = _parse_rows(rows, lineno, len(lines), width, offset)
+            yield values, labels
 
 
 def _parse_block(lines, width: int, offset: int):
@@ -181,15 +185,17 @@ def _parse_block(lines, width: int, offset: int):
     return table[:, offset:], np.asarray(labels, dtype=np.int64)
 
 
-def _parse_rows(lines, lineno: int, width: int, offset: int):
-    """``(values, labels)`` of the CSV records in ``lines``, the first of
-    which is record ``lineno``, parsed one row at a time; the first
-    malformed record raises with its number.  Blank records are skipped.
+def _parse_rows(lines, lineno: int, stop: int, width: int, offset: int):
+    """``(values, labels, next record number)`` of the CSV records in
+    ``lines``, the first of which is record ``lineno``, parsed one row at
+    a time up to the end of the record that holds line ``stop`` >= 1 (see
+    :func:`_records`); the first malformed record raises with its number.
+    Blank records are skipped.
     """
     k = width - offset
     labels: list[int] = []
     rows: list[list[float]] = []
-    for lineno, row in _records(lines, lineno):
+    for lineno, row in _records(lines, lineno, stop):
         if not row:
             continue
         _check_decoded(row, lineno)
@@ -210,15 +216,19 @@ def _parse_rows(lines, lineno: int, width: int, offset: int):
         if not all(math.isfinite(v) for v in values):
             raise ParseError("non-finite score value", line=lineno)
         rows.append(values)
-    return np.asarray(rows, dtype=np.float64).reshape(-1, k), np.asarray(labels, dtype=np.int64)
+    values = np.asarray(rows, dtype=np.float64).reshape(-1, k)
+    return values, np.asarray(labels, dtype=np.int64), lineno + 1
 
 
-def _records(lines, lineno: int):
+def _records(lines, lineno: int, stop: int):
     """``(number, row)`` for each CSV record in ``lines``, numbered from
-    ``lineno``; the csv module's errors (a field over its size limit) raise
-    ParseError with the number of the record they hit."""
+    ``lineno``, until the csv reader has read ``stop`` lines: it reads
+    whole lines and yields a record only once every quote in it is
+    closed, so it then stands at a record boundary outside quotes.  The
+    csv module's errors (a field over its size limit) raise ParseError
+    with the number of the record they hit."""
     reader = csv.reader(lines)
-    while True:
+    while reader.line_num < stop:
         try:
             row = next(reader)
         except StopIteration:

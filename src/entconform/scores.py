@@ -196,7 +196,10 @@ def _as_labels(labels) -> np.ndarray:
 # O(K) or O(K^2) after the O(K log K) sort.  A general-delta prediction set
 # needs only its size s, found by a galloping search whose probes norm only
 # the gaps of the ranks they reach: O(s log s) per row after the sort (see
-# :func:`_entmax_prefix`).
+# :func:`_entmax_prefix`).  A RAPS row is the view's prefix mass (the
+# running sum of its rank-order softmax, built once per view) plus the
+# weighted mass of each rank and its penalty, so no RAPS kind sums a row of
+# its own, and calibration reads each row at its label's rank only.
 #
 # The sort is kept in a :class:`_SortedRows` view: the sort's arrays plus the
 # rows the view covers.  A sweep sorts its input once; every part of every
@@ -224,8 +227,9 @@ class _SortedRows:
     when labels were given) are the arrays of the one :func:`_sort_rows`
     call, shared by every view of it; ``rank`` holds the ranks of this
     view's rows, and ``shape`` is ``(n, K)``, as for a batch of rows.  The
-    rows in rank order (:attr:`zs`) and their softmax (:attr:`probs`) are
-    derived on first use.  ``scores`` keeps each calibrated kind's
+    rows in rank order (:attr:`zs`), their softmax (:attr:`probs`) and its
+    prefix mass (:attr:`below`, for RAPS) are derived on first use, in row
+    blocks, and kept.  ``scores`` keeps each calibrated kind's
     true-label scores (see :func:`entconform.conformal.calibrate`), one
     n-vector per kind, so that every alpha reads one score vector.
     """
@@ -248,6 +252,18 @@ class _SortedRows:
         kept.  It is normalized in label order, as a sort-free softmax is,
         so every score read from it keeps its bits."""
         return self._in_rank_order(_softmax_rows)
+
+    @cached_property
+    def below(self) -> np.ndarray:
+        """Each rank's prefix mass, ``cumsum(probs) - probs``: the softmax
+        of the ranks above it, summed down the row.  Built in row blocks,
+        so the cumulative sum stays block-sized, and read by every RAPS
+        kind and alpha."""
+        out = np.empty(self.shape)
+        for rows in _row_blocks(*self.shape):
+            ps = self.probs[rows]
+            out[rows] = np.cumsum(ps, axis=1) - ps
+        return out
 
     def _in_rank_order(self, rowwise) -> np.ndarray:
         """``rowwise`` of the rows in label order, put in rank order, built
@@ -418,17 +434,22 @@ def _entmax_prefix(zs: np.ndarray, delta: float, q: float) -> np.ndarray:
     return prefix
 
 
-def _raps_sorted(ps: np.ndarray, params: RapsParams, u) -> np.ndarray:
-    """RAPS scores in rank order from the softmax in rank order ``ps``."""
-    if params.k_reg > ps.shape[1]:
+def _raps_sorted(view: _SortedRows, rows: slice, params: RapsParams, u, at=None):
+    """RAPS scores in rank order of the view's ``rows``, from its prefix
+    mass and softmax: ``below + u * probs + penalty``, where the penalty of
+    the 0-based rank r is ``lambda_reg * max(0, r + 1 - k_reg)``.  With
+    ``at`` only the ranks ``at`` of each row are read, and every entry
+    keeps the bits of the full row's."""
+    if params.k_reg > view.num_classes:
         raise InvalidInput(
-            f"k_reg = {params.k_reg} exceeds the number of classes {ps.shape[1]}"
+            f"k_reg = {params.k_reg} exceeds the number of classes {view.num_classes}"
         )
-    csum = np.cumsum(ps, axis=1)
-    penalty = params.lambda_reg * np.maximum(
-        0.0, np.arange(1, ps.shape[1] + 1) - params.k_reg
-    )
-    return (csum - ps) + u[:, None] * ps + penalty
+    below, ps, r = view.below[rows], view.probs[rows], np.arange(view.num_classes)
+    if at is not None:
+        below, ps = np.take_along_axis(below, at, axis=1), np.take_along_axis(ps, at, axis=1)
+        r = at
+    penalty = params.lambda_reg * np.maximum(0.0, (r + 1) - params.k_reg)
+    return below + u[:, None] * ps + penalty
 
 
 def _resolve_u(n: int, u) -> np.ndarray:
@@ -454,8 +475,8 @@ def _rank_order_scores(view: _SortedRows, rows: slice, kind: ScoreKind, u, at=No
         zs, delta = view.zs[rows], 1.0 / (kind.gamma - 1.0)
         return _entmax_all_sorted(zs, delta) if at is None else _entmax_at(zs, at, delta)
     if kind.variant == "raps":
-        s = _raps_sorted(view.probs[rows], kind.raps_params, u)
-    elif kind.variant == "inv_prob":
+        return _raps_sorted(view, rows, kind.raps_params, u, at)
+    if kind.variant == "inv_prob":
         s = 1.0 - view.probs[rows]
     elif kind.variant == "sparsemax":
         s = _sparsemax_all_sorted(view.zs[rows])

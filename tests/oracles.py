@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from first principles (exhaustive
 enumeration, direct formulas) and shares no code with the package, so a
-bug cannot cancel out on both sides of a comparison.
+bug cannot cancel out on both sides of a comparison.  The one exception is
+the softmax of :func:`raps_scores_per_row`, which is the package's own so
+that the RAPS scores can be held to it bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 
 import numpy as np
 
+from entconform.activations import _softmax_rows
 from entconform.errors import InconsistentWidth, InvalidInput, LabelOutOfRange, ParseError
 
 
@@ -94,6 +97,25 @@ def delta_norm(gaps: np.ndarray, delta: float) -> float:
     if gaps.size == 0:
         return 0.0
     return float(np.sum(gaps**delta) ** (1.0 / delta))
+
+
+def raps_scores_per_row(Z, lambda_reg: float, k_reg: int, u=None) -> np.ndarray:
+    """RAPS scores of every label, one row at a time: the row's softmax,
+    a stable descending sort (ties by lower index first), the mass of the
+    ranks above each label plus ``u`` times its own and the penalty
+    ``lambda_reg * max(0, rank - k_reg)`` of its 1-based rank, then the
+    un-sort.  ``u`` is None (weight 1) or one weight per row."""
+    Z = np.asarray(Z, dtype=np.float64)
+    n, k = Z.shape
+    out = np.empty((n, k))
+    for i, z in enumerate(Z):
+        p = _softmax_rows(z[None, :])[0]
+        order = np.asarray(sorted(range(k), key=lambda j: (-z[j], j)))
+        ps = p[order]
+        weight = 1.0 if u is None else u[i]
+        penalty = lambda_reg * np.maximum(0.0, np.arange(1, k + 1) - k_reg)
+        out[i, order] = (np.cumsum(ps) - ps) + weight * ps + penalty
+    return out
 
 
 def entmax_bisect_every_iteration(Z, gamma: float, tol: float, max_iters: int = 100):

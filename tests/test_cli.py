@@ -334,6 +334,19 @@ class TestPredictorFile:
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q_hat", ["inf", 0.5])
+    def test_raps_k_reg_beyond_classes_exits_2(self, tmp_path, dataset_csv, capsys, q_hat):
+        pred_path = tmp_path / "pred.json"
+        assert main(["calibrate", "--input", dataset_csv, "--score", "raps", "--alpha", "0.1",
+                     "--lambda-reg", "0.01", "--k-reg", "2", "--out", str(pred_path)]) == 0
+        doc = json.loads(pred_path.read_text())
+        doc["score_kind"]["k_reg"], doc["q_hat"] = 5, q_hat
+        pred_path.write_text(json.dumps(doc))
+        code = main(["evaluate", "--predictor", str(pred_path), "--input", dataset_csv,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "k_reg = 5" in capsys.readouterr().err
+
     def test_not_json_exits_2(self, tmp_path, dataset_csv, capsys):
         pred_path = tmp_path / "pred.json"
         pred_path.write_text("{")

@@ -762,6 +762,19 @@ class TestSerialization:
         back = CalibratedPredictor.from_json_dict(doc)
         assert back.score_kind == kind
 
+    @pytest.mark.parametrize("q_hat", [math.inf, 0.5], ids=["inf", "finite"])
+    def test_raps_k_reg_beyond_classes_rejected(self, q_hat):
+        # no row can be scored with k_reg > K, so whatever q_hat is, the
+        # predictor itself is invalid
+        kind = ScoreKind.raps(RapsParams(lambda_reg=0.01, k_reg=50))
+        with pytest.raises(InvalidInput, match="k_reg = 50"):
+            CalibratedPredictor(kind, 0.1, q_hat, 10, 10)
+        doc = CalibratedPredictor(kind, 0.1, q_hat, 10, 50).to_json_dict()
+        doc["num_classes"] = 10
+        with pytest.raises(InvalidInput, match="k_reg = 50"):
+            CalibratedPredictor.from_json_dict(doc)
+        assert CalibratedPredictor(kind, 0.1, q_hat, 10, 50).num_classes == 50
+
     def test_other_kinds_omit_optional_fields(self):
         cal = toy_dataset()
         doc = calibrate(cal, ScoreKind.inv_prob(), 0.5).to_json_dict()

@@ -162,6 +162,9 @@ class TestParserMatchesPerRowReference:
         ["0,1,2,3", "x,nan,2,3"], ["0,1,2,3", "1,nan,2,3,4"],
         ["0,1,2", "1,1,2,3", "1,1,2,3,4"],
         ["0,1,2,3"] * 7 + ["0,1,2,nan"],
+        ['0,"1.0" ,2.0,3.0', "1,4.0,5.0,6.0", '2,"7.0",8.0,9.0', "1,1,2,3", "0,1,2,x"],
+        ['0,"1.0,', '2.0",3.0', "1,4.0,5.0,6.0", '2,7"0,8.0,9.0', "1,1,2,3,4"],
+        ['0,1.0,2.0,3.0', '1,"4.0', "", '",5.0,6.0', "2,1,2,3", "1,1,2,3,4"],
     )
 
     @pytest.fixture(params=[1, 2, 3, None], ids=["rows1", "rows2", "rows3", "default"])
@@ -215,6 +218,30 @@ class TestParserMatchesPerRowReference:
             self.check([f"0,1.0,{token},2.0"], True, "\n", block_rows, monkeypatch, tmp_path)
         for label in _ODD_LABELS:
             self.check([f"{label},1.0,2.0,3.0"], True, "\n", block_rows, monkeypatch, tmp_path)
+
+    def test_quoted_first_row_leaves_later_blocks_to_numpy(self, tmp_path, monkeypatch):
+        # one quoted label in the first data row: the row loop reads the
+        # first block only, and every later block reaches the tokenizer
+        data = make_task(700, num_classes=37, seed=3, radius=4.0, align=0.8)
+        plain = tmp_path / "plain.csv"
+        write_dataset_csv(str(plain), data)
+        header, first, rest = plain.read_text().split("\n", 2)
+        label, values = first.split(",", 1)
+        quoted = write_csv(tmp_path / "quoted.csv", f'{header}\n"{label}",{values}\n{rest}')
+        monkeypatch.setattr(harness_mod, "_BLOCK_CELLS", 50 * 38)
+        tokenized = []
+        parse_block = harness_mod._parse_block
+
+        def spy(lines, width, offset):
+            tokenized.append(len(lines))
+            return parse_block(lines, width, offset)
+
+        monkeypatch.setattr(harness_mod, "_parse_block", spy)
+        loaded = load_dataset(quoted)
+        assert tokenized == [50] * 13
+        expected = load_dataset(str(plain))
+        assert loaded.logits.tobytes() == expected.logits.tobytes()
+        np.testing.assert_array_equal(loaded.labels, expected.labels)
 
     def test_large_file_is_bit_identical(self, tmp_path):
         data = make_task(700, num_classes=37, seed=3, radius=4.0, align=0.8)

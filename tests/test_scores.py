@@ -17,7 +17,7 @@ import entconform.scores as scores_mod
 from entconform.conformal import CalibratedPredictor, set_masks
 from entconform.scores import descending_order
 
-from oracles import delta_norm, gap_vector
+from oracles import delta_norm, gap_vector, raps_scores_per_row
 
 Z5 = np.array([1.0, -1.0, -0.2, 0.4, -0.5])
 SPARSEMAX = ScoreKind.sparsemax()
@@ -182,6 +182,37 @@ class TestRapsScore:
             RapsParams(lambda_reg=-0.1, k_reg=1)
         with pytest.raises(InvalidInput):
             RapsParams(lambda_reg=0.1, k_reg=0)
+
+
+class TestRapsOracle:
+    """Every RAPS route against the per-row reference, bit for bit."""
+
+    @pytest.mark.parametrize("rows", ["gaussian", "tied", "offset"])
+    @pytest.mark.parametrize("k", [2, 10, 1000])
+    def test_every_route_is_the_per_row_reference(self, k, rows):
+        rng = np.random.default_rng(k + len(rows))
+        n = 12 if k == 1000 else 40
+        Z = {
+            "gaussian": rng.normal(size=(n, k)),
+            "tied": rng.integers(-2, 3, size=(n, k)).astype(float),
+            "offset": 1e6 + rng.normal(size=(n, k)),
+        }[rows]
+        labels = rng.integers(0, k, size=n)
+        view = scores_mod._sort_rows(Z, labels)
+        for u in (None, rng.uniform(size=n)):
+            for k_reg in [r for r in (1, 5, k) if r <= k]:
+                for lambda_reg in (0.0, 0.01, 1.0):
+                    kind = ScoreKind.raps(RapsParams(lambda_reg, k_reg))
+                    expected = raps_scores_per_row(Z, lambda_reg, k_reg, u)
+                    at_label = expected[np.arange(n), labels]
+                    assert all_label_scores(Z, kind, u).tobytes() == expected.tobytes()
+                    assert true_label_scores(Z, labels, kind, u).tobytes() == at_label.tobytes()
+                    got = true_label_scores(view, view.rank, kind, u)
+                    assert got.tobytes() == at_label.tobytes()
+                    pred = predictor_at(kind, np.median(expected), k)
+                    ranked = np.take_along_axis(expected <= pred.q_hat, view.order, axis=1)
+                    np.testing.assert_array_equal(set_masks(view, pred, u), ranked)
+                    np.testing.assert_array_equal(set_masks(Z, pred, u), expected <= pred.q_hat)
 
 
 class TestScalarRoutesThroughBatch:
@@ -430,6 +461,18 @@ class TestVectorizedAgainstScalar:
             tracemalloc.stop()
         assert true_peak <= 80 * 2**20
         assert mask_peak <= 80 * 2**20
+        if kind.variant == "raps":
+            # a sorted view keeps its softmax and prefix mass (32 MB each
+            # here), both built in row blocks; the rest stays block-sized
+            view = scores_mod._sort_rows(Z, labels)
+            tracemalloc.start()
+            try:
+                mask = set_masks(view, predictor_at(kind, float(np.median(s)), 1000))
+                view_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = view.probs.nbytes + view.below.nbytes + mask.nbytes
+            assert view_peak - kept <= 40 * 2**20
 
 
 class TestFamilyProperties:

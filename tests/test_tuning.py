@@ -1,4 +1,5 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from entconform import (
     tune_gamma,
     tune_raps,
 )
-from entconform import scores
+from entconform import scores, tuning
 from entconform.tuning import DEFAULT_GAMMA_GRID, DEFAULT_K_GRID, DEFAULT_LAMBDA_GRID
 
 from oracles import delta_norm, gap_vector, order_statistic
@@ -235,6 +236,28 @@ class TestTuneRaps:
         assert len(result.table) == 16
         assert result.table[result.chosen] == result.objective
         assert result.objective == min(result.table.values())
+
+    def test_prefix_mass_built_once_per_part(self, monkeypatch):
+        # 16 kinds x 2 alphas over blocks of 100 rows: each of the two
+        # parts builds its prefix mass once, not once per kind, alpha or
+        # row block
+        data = make_task(600, 60, seed=8)
+        built = []
+        below = scores._SortedRows.below.func
+
+        def counted(view):
+            built.append(view.n)
+            return below(view)
+
+        spy = cached_property(counted)
+        spy.__set_name__(scores._SortedRows, "below")
+        monkeypatch.setattr(scores._SortedRows, "below", spy)
+        monkeypatch.setattr(scores, "_CHUNK_CELLS", 100 * 60)
+        kinds = tuning._raps_kinds(DEFAULT_LAMBDA_GRID, DEFAULT_K_GRID)
+        view = scores._sort_rows(data.logits, data.labels)
+        results = tuning._grid_search(view, (0.05, 0.1), 3, kinds)
+        assert sorted(built) == [240, 360]
+        assert [len(r.table) for r in results] == [16, 16]
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)
