@@ -49,8 +49,32 @@ def descending_order(z: np.ndarray) -> np.ndarray:
     are broken alike wherever a rank matters.  :func:`_sparsemax_batch`
     sorts values alone, with ``np.sort``: the order of tied values does not
     change its result.
+
+    It equals ``np.argsort(-z, axis=-1, kind="stable")`` exactly, but sorts
+    with numpy's default argsort (SIMD where numpy has it).  A row is tied
+    where two neighbours of its sorted values are equal, two NaNs counting
+    as equal.  Only tied rows are sorted again, by the unique key ``run * K
+    + index`` (int32 while K * K fits), ``run`` counting the value changes
+    before each position: runs keep their positions, so the sorted key less
+    ``run * K`` lists each run's indices in increasing order.
     """
-    return np.argsort(-z, axis=-1, kind="stable")
+    k = z.shape[-1]
+    neg = -np.reshape(z, (-1, k))
+    order = np.argsort(neg, axis=1)
+    s = np.sort(neg, axis=1)
+    same = s[:, 1:] == s[:, :-1]
+    if np.isnan(s[:, -1]).any():
+        same |= np.isnan(s[:, 1:]) & np.isnan(s[:, :-1])
+    tied = same.any(axis=1)
+    if tied.any():
+        dtype = np.int32 if k * k <= np.iinfo(np.int32).max else np.int64
+        base = np.zeros((np.count_nonzero(tied), k), dtype=dtype)
+        np.cumsum(~same[tied], axis=1, dtype=dtype, out=base[:, 1:])
+        base *= k
+        key = np.add(base, order[tied], dtype=dtype)
+        key.sort(axis=1)
+        order[tied] = key - base
+    return order.reshape(z.shape)
 
 
 def _softmax_rows(Z: np.ndarray) -> np.ndarray:

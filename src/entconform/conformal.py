@@ -69,7 +69,7 @@ class PredictionSet:
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "PredictionSet":
-        return cls(tuple(int(i) for i in np.flatnonzero(mask)))
+        return cls(tuple(np.flatnonzero(mask).tolist()))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,12 @@ import pytest
 
 from entconform import InvalidGamma, InvalidInput, entmax, support_sets_via_entmax
 
-from entconform.activations import _entmax_batch, _softmax_rows, _sparsemax_batch
+from entconform.activations import (
+    _entmax_batch,
+    _softmax_rows,
+    _sparsemax_batch,
+    descending_order,
+)
 
 from oracles import (
     entmax_bisect_every_iteration,
@@ -247,6 +252,60 @@ class TestBatchRows:
                 batch = entmax(Z, gamma)
                 for i in range(Z.shape[0]):
                     assert batch[i].tobytes() == entmax(Z[i : i + 1], gamma)[0].tobytes()
+
+
+def _stable_descending(z):
+    return np.argsort(-z, axis=-1, kind="stable")
+
+
+def _tie_rows(kind, n, k, rng):
+    g = rng.normal(size=(n, k))
+    if kind == "gaussian":
+        return g
+    if kind == "integer":
+        return np.round(2.0 * g)
+    if kind == "float16":
+        return g.astype(np.float16).astype(np.float64)
+    if kind == "all-equal":
+        return np.full((n, k), 0.5)
+    z = np.round(g)
+    if kind == "signed-zeros":
+        z[z == 0.0] = np.where(rng.random(int((z == 0.0).sum())) < 0.5, 0.0, -0.0)
+    elif kind == "infinities":
+        z[z >= 1.0] = np.inf
+        z[z <= -1.0] = -np.inf
+    elif kind == "nans":
+        z[rng.random(z.shape) < 0.2] = np.nan
+    return z
+
+
+class TestDescendingOrder:
+    """``descending_order`` is the stable descending argsort, index for index."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["gaussian", "integer", "float16", "all-equal", "signed-zeros", "infinities", "nans"],
+    )
+    @pytest.mark.parametrize("k", [2, 10, 300, 1000])
+    def test_equals_the_stable_argsort(self, kind, k):
+        z = _tie_rows(kind, 2000 if k < 1000 else 300, k, np.random.default_rng(k))
+        got, want = descending_order(z), _stable_descending(z)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_nan_pairs_are_ties(self):
+        # NaNs sort last; two of them keep their index order
+        z = np.array([[np.nan, 1.0, np.nan, 1.0, 2.0], [np.nan] * 5])
+        np.testing.assert_array_equal(descending_order(z), [[4, 1, 3, 0, 2], [0, 1, 2, 3, 4]])
+        np.testing.assert_array_equal(descending_order(z), _stable_descending(z))
+
+    def test_shapes_and_strides(self):
+        rng = np.random.default_rng(5)
+        tied = np.round(rng.normal(size=(6, 40, 30)))
+        for z in (tied[0, 0], tied, tied[:, :0], tied[::2, 3, ::-3], tied[1, :, 1::2]):
+            got = descending_order(z)
+            assert got.shape == z.shape
+            np.testing.assert_array_equal(got, _stable_descending(z))
 
 
 class TestEntmaxInvariants:

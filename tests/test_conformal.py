@@ -940,6 +940,31 @@ class TestPredictionSet:
         assert s.size == 3
         assert 2 in s and 1 not in s
 
+    def test_from_mask_labels_are_python_ints(self):
+        # the labels are built by tolist(): plain ints, equal to a per-element
+        # int() of the mask's indices
+        rng = np.random.default_rng(8)
+        masks = [np.zeros(7, bool), np.ones(7, bool), np.zeros(0, bool)]
+        masks += list(rng.random((20, 300)) < 0.3)
+        for mask in masks:
+            labels = PredictionSet.from_mask(mask).labels
+            assert labels == tuple(int(i) for i in np.flatnonzero(mask))
+            assert all(type(x) is int for x in labels)
+
+    def test_batch_routes_agree_with_int_labels(self):
+        # predict_sets (score route) and support_sets_via_entmax (activation
+        # route at beta = 1 / beta_inv) give the same sets of plain ints on
+        # the rows with no score within 1e-9 of q_hat
+        cal, test = make_task(600, num_classes=12, seed=6), make_task(200, 12, seed=7)
+        kind = ScoreKind.entmax(1.5)
+        pred = calibrate(cal, kind, 0.1)
+        clear = np.abs(all_label_scores(test.logits, kind) - pred.q_hat).min(axis=1) > 1e-9
+        sets = predict_sets(test.logits[clear], pred)
+        supports = support_sets_via_entmax(test.logits[clear], 1.0 / pred.beta_inv, 1.5)
+        assert clear.sum() > 150
+        assert sets == supports
+        assert all(type(x) is int for s in sets + supports for x in s.labels)
+
 
 def _raps(randomized=False, rng_seed=0):
     return ScoreKind.raps(
